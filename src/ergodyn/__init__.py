@@ -28,9 +28,9 @@ from .dynamics import (
     expanded_generator,
     first_order_dyson,
     propagator,
+    read_channels,
     rk4_commutator_oracle,
     rk4_expectation_series,
-    standard_propagator,
     subspace_generator,
     survival_probability,
 )
@@ -55,6 +55,7 @@ from .fock import (
     free_hamiltonian,
     identity_operator,
     number_operator,
+    occupation_counts,
     occupations_of,
     projector,
     pure_density,

@@ -15,10 +15,12 @@ import numpy as np
 
 from . import closed_forms as cf
 from .dynamics import (
+    _evolved_states,
     effective_hamiltonian,
     evolve_probabilities,
     expanded_generator,
     propagator,
+    read_channels,
     rk4_expectation_series,
     survival_probability,
 )
@@ -27,11 +29,11 @@ from .fock import (
     Ket,
     ModeSystem,
     Operator,
+    flat_index,
     fock_ket,
     free_hamiltonian,
     identity_operator,
-    number_operator,
-    projector,
+    occupation_counts,
     pure_density,
     superposition,
     tensor,
@@ -76,18 +78,15 @@ def criterion_01_two_level_triangle():
         sys_, psi, dyn = _two_level(theta, gap)
         rate = math.sin(theta) * gap
         t = np.linspace(0.0, 20.0 * math.pi / rate, 2001)
-        projs = {
-            "p0": projector(fock_ket(sys_, (0,))),
-            "pe": projector(fock_ket(sys_, (1,))),
-        }
-        series = evolve_probabilities(dyn, psi, projs, t)
+        channels = {"p0": [flat_index(sys_, (0,))], "pe": [flat_index(sys_, (1,))]}
+        series = evolve_probabilities(dyn, psi, channels, t)
         a0, ae = cf.two_level_probabilities(theta, gap, t)
         dev_ae = max(
             np.abs(series.channels["p0"] - a0).max(),
             np.abs(series.channels["pe"] - ae).max(),
         )
         rk4 = rk4_expectation_series(
-            dyn, projs, psi, t, omega_max=max(sys_.omega)
+            dyn, psi, channels, t, omega_max=max(sys_.omega)
         )
         dev_er = max(
             np.abs(series.channels["p0"] - rk4["p0"]).max(),
@@ -137,12 +136,9 @@ def criterion_03_full_fock_single_mode():
     series = evolve_probabilities(
         dyn,
         psi,
-        {
-            "p0": projector(fock_ket(sys_, (0,))),
-            "pn": projector(fock_ket(sys_, (n,))),
-        },
+        {"p0": [flat_index(sys_, (0,))], "pn": [flat_index(sys_, (n,))]},
         t,
-        number_op=number_operator(sys_),
+        occupations=occupation_counts(sys_),
     )
     a0, an = cf.balanced_superposition_probabilities(n, omega, 0.0, t)
     number = cf.balanced_superposition_number(n, omega, 0.0, t)
@@ -152,14 +148,8 @@ def criterion_03_full_fock_single_mode():
         np.abs(series.channels["n_expect"] - number).max(),
     )
     # unmodified dynamics keeps both populations pinned at 1/2
-    evals, evecs = np.linalg.eigh(h.matrix)
-    phases = np.exp(-1j * np.outer(evals, t))
-    states = evecs @ (phases * (evecs.conj().T @ psi.amplitudes)[:, None])
-    pn_std = np.einsum(
-        "it,it->t",
-        states.conj(),
-        projector(fock_ket(sys_, (n,))).matrix @ states,
-    ).real
+    states = _evolved_states(h.matrix, psi.amplitudes, t)
+    pn_std = read_channels(states, {"pn": [flat_index(sys_, (n,))]})["pn"]
     dev_std = np.abs(pn_std - 0.5).max()
     checks = [
         (dev <= 1e-9, f"closed-form deviation {dev:.2e}"),
@@ -193,7 +183,7 @@ def criterion_04_two_mode_products():
     series = evolve_probabilities(
         dyn,
         psi,
-        {str(occ): projector(fock_ket(sys_, occ)) for occ in labels},
+        {str(occ): [flat_index(sys_, occ)] for occ in labels},
         t,
     )
     forms = cf.separable_pair_probabilities(n, m, omega_a, omega_b, t)
@@ -242,10 +232,7 @@ def criterion_05_entangled_pair():
     series = evolve_probabilities(
         dyn,
         psi,
-        {
-            "p00": projector(fock_ket(sys_, (0, 0))),
-            "pnm": projector(fock_ket(sys_, (n, m))),
-        },
+        {"p00": [flat_index(sys_, (0, 0))], "pnm": [flat_index(sys_, (n, m))]},
         t,
     )
     a00, anm = cf.noon_probabilities(n, m, omega_a, omega_b, t)
@@ -321,9 +308,9 @@ def criterion_07_perturbative_interferometer():
             dyn,
             psi,
             {
-                "pvac": projector(fock_ket(sys_, (0, 0))),
-                "pa": projector(fock_ket(sys_, (n_occ, 0))),
-                "pb": projector(fock_ket(sys_, (0, n_occ))),
+                "pvac": [flat_index(sys_, (0, 0))],
+                "pa": [flat_index(sys_, (n_occ, 0))],
+                "pb": [flat_index(sys_, (0, n_occ))],
             },
             t,
         )
@@ -542,7 +529,7 @@ def criterion_12_structural_properties():
         series = evolve_probabilities(
             dyn_e,
             eig,
-            {"p": projector(eig)},
+            {"p": [k]},
             np.linspace(0.0, 10.0, 21),
             partition=False,
         )

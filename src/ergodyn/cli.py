@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .emit import (
     format_summary_json,
@@ -20,6 +21,7 @@ from .errors import ConfigError, EngineDisagreementError, ErgodynError
 from .scenarios import (
     SCENARIO_DESCRIPTIONS,
     SCENARIO_NAMES,
+    ScenarioConfig,
     load_config,
     run_scenario,
     sweep,
@@ -30,32 +32,8 @@ EXIT_SELFTEST = 1
 EXIT_CONFIG = 2
 EXIT_ENGINES = 3
 
-_FLAG_KEYS = (
-    "scenario",
-    "theta",
-    "phi",
-    "n",
-    "m",
-    "N",
-    "M",
-    "ns",
-    "omega",
-    "omega_a",
-    "omega_b",
-    "omega_0",
-    "E0",
-    "cutoffs",
-    "t_max",
-    "steps",
-    "engine",
-    "comparison",
-    "r_S",
-    "r_E",
-    "L",
-    "eps",
-    "base_omega",
-    "amplitudes",
-)
+#: one flag per configuration key, named as in config files
+_FLAG_KEYS = tuple(f.name for f in fields(ScenarioConfig))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, RefinementError
-from .fock import Ket, Operator
+from .fock import Ket, Operator, projector
 
 #: Hermiticity tolerance on the effective generator
 HERMITICITY_TOL = 1e-12
@@ -215,21 +215,29 @@ def propagator(dyn: EffectiveDynamics, t: float) -> Operator:
     return Operator(u, hermitian_hint=False)
 
 
-def standard_propagator(hamiltonian: Operator, t: float) -> Operator:
-    """Unmodified evolution exp(-i H t), for side-by-side comparisons."""
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    evals, evecs = np.linalg.eigh(hamiltonian.matrix)
-    u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-    return Operator(u, hermitian_hint=False)
-
-
 def _evolved_states(generator_matrix: np.ndarray, psi0: np.ndarray, t_grid):
     """Columns psi(t) for all grid times from one Hermitian eigendecomposition."""
     evals, evecs = np.linalg.eigh(generator_matrix)
     modes = evecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(evals, np.asarray(t_grid, dtype=float)))
     return evecs @ (phases * modes[:, None])
+
+
+def read_channels(states: np.ndarray, channels: dict, occupations=None) -> dict:
+    """Channel series of the state columns ``states[:, t]``.
+
+    ``channels`` maps a name to a list or array of flat Fock indices; the
+    channel is the summed population of those basis vectors.  ``n_expect``
+    is added from the per-index occupation counts when ``occupations`` is
+    given.
+    """
+    pops = states.real**2 + states.imag**2
+    out = {name: pops[idx].sum(axis=0) for name, idx in channels.items()}
+    if occupations is not None:
+        out["n_expect"] = np.einsum(
+            "it,it->t", states.conj(), occupations[:, None] * states
+        ).real
+    return out
 
 
 def default_rk4_step(dyn: EffectiveDynamics, omega_max: float = 0.0) -> float:
@@ -324,24 +332,36 @@ def rk4_commutator_oracle(
 
 def rk4_expectation_series(
     dyn: EffectiveDynamics,
-    observables: dict[str, Operator],
     psi0: Ket,
+    channels: dict,
     t_grid,
+    occupations=None,
+    survival: bool = False,
     substeps: int | None = None,
     omega_max: float = 0.0,
 ) -> dict[str, np.ndarray]:
-    """RK4 route for many observables at once.
+    """RK4 route for the channels of :func:`read_channels`.
 
-    All observables are stacked and stepped together, and only the
-    expectations <psi0|A(t)|psi0> are retained.  Same independence
-    guarantees as :func:`rk4_commutator_oracle`.
+    Each channel becomes its 0/1 diagonal projector, ``occupations`` the
+    diagonal number operator (``n_expect``) and ``survival`` adds
+    |psi0><psi0| (``p_survival``).  The observables are stacked and stepped
+    together in the Heisenberg picture, and only the expectations
+    <psi0|A(t)|psi0> are retained.  Same independence guarantees as
+    :func:`rk4_commutator_oracle`.
     """
     t, dt = _rk4_grid(t_grid)
     substeps = _rk4_substeps(dyn, dt, substeps, omega_max)
     h = dt / substeps
     heff = dyn.h_eff.matrix
+    eye = np.eye(dyn.dimension)
+    diagonals = {name: eye[idx].sum(axis=0) for name, idx in channels.items()}
+    if occupations is not None:
+        diagonals["n_expect"] = occupations
+    observables = {name: np.diag(diag) for name, diag in diagonals.items()}
+    if survival:
+        observables["p_survival"] = projector(psi0).matrix
     names = list(observables)
-    stack = np.stack([observables[name].matrix.astype(complex) for name in names])
+    stack = np.stack(list(observables.values())).astype(complex)
     norm0 = np.linalg.norm(stack)
     psi = psi0.amplitudes
     values = np.empty((t.size, len(names)))
@@ -420,34 +440,25 @@ class TimeSeries:
 def evolve_probabilities(
     dyn: EffectiveDynamics,
     psi0: Ket,
-    projectors: dict[str, Operator],
+    channels: dict,
     t_grid,
-    number_op: Operator | None = None,
+    occupations=None,
     partition: bool = True,
 ) -> TimeSeries:
-    """Expectation series <psi|U^dag P U|psi> for each named projector.
+    """Channel series of U(t)|psi0> on the grid, read by :func:`read_channels`.
 
     Uses the exponential propagator route.  When ``partition`` is true the
-    projector channels are declared a probability partition (they must sum
-    to one on the grid).  A total-occupation channel ``n_expect`` is added
-    when ``number_op`` is given.
+    channels are declared a probability partition (they must sum to one on
+    the grid).  ``n_expect`` is added when the per-index ``occupations``
+    are given.
     """
     states = _evolved_states(dyn.h_eff.matrix, psi0.amplitudes, t_grid)
-    channels = {}
-    for name, op in projectors.items():
-        channels[name] = np.einsum(
-            "it,it->t", states.conj(), op.matrix @ states
-        ).real
-    prob_names = list(channels)
-    if number_op is not None:
-        channels["n_expect"] = np.einsum(
-            "it,it->t", states.conj(), number_op.matrix @ states
-        ).real
+    names = list(channels)
     return TimeSeries(
         t_grid,
-        channels,
-        probability_channels=prob_names,
-        partitions=(tuple(prob_names),) if partition else (),
+        read_channels(states, channels, occupations),
+        probability_channels=names,
+        partitions=(tuple(names),) if partition else (),
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapError
+from .errors import ConfigError, DimensionCapError
 
 HBAR = 1.0
 
@@ -30,7 +30,12 @@ def dimension_cap() -> int:
     raw = os.environ.get(DIMENSION_CAP_ENV)
     if raw is None:
         return DEFAULT_DIMENSION_CAP
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(
+            DIMENSION_CAP_ENV, f"must be an integer, got {raw!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -206,24 +211,31 @@ def superposition(system: ModeSystem, terms) -> Ket:
     return Ket(vec)
 
 
+def _occupation_sum(system: ModeSystem, weights) -> np.ndarray:
+    """Entry sum_i n_i weights[i] for every basis vector, in flat-index order."""
+    shape = tuple(c + 1 for c in system.cutoff)
+    total = np.zeros(shape)
+    for axis, w in enumerate(weights):
+        local = np.arange(shape[axis]) * w
+        total += local.reshape([-1 if a == axis else 1 for a in range(len(shape))])
+    return total.ravel()
+
+
+def occupation_counts(system: ModeSystem) -> np.ndarray:
+    """Total occupation sum_i n_i of every basis vector, in flat-index order."""
+    return _occupation_sum(system, (1.0,) * system.modes)
+
+
 def free_hamiltonian(system: ModeSystem) -> Operator:
     """Diagonal free Hamiltonian: |n_1...n_k> has energy sum_i n_i omega_i."""
-    shape = tuple(c + 1 for c in system.cutoff)
-    energies = np.zeros(shape)
-    for axis, w in enumerate(system.omega):
-        local = np.arange(shape[axis]) * w
-        energies += local.reshape([-1 if a == axis else 1 for a in range(len(shape))])
-    return Operator(np.diag(energies.ravel()), hermitian_hint=True)
+    return Operator(
+        np.diag(_occupation_sum(system, system.omega)), hermitian_hint=True
+    )
 
 
 def number_operator(system: ModeSystem) -> Operator:
     """Total occupation operator, diagonal with entry sum_i n_i."""
-    shape = tuple(c + 1 for c in system.cutoff)
-    counts = np.zeros(shape)
-    for axis in range(len(shape)):
-        local = np.arange(shape[axis], dtype=float)
-        counts += local.reshape([-1 if a == axis else 1 for a in range(len(shape))])
-    return Operator(np.diag(counts.ravel()), hermitian_hint=True)
+    return Operator(np.diag(occupation_counts(system)), hermitian_hint=True)
 
 
 def projector(ket: Ket) -> Operator:

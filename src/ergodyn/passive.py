@@ -48,10 +48,12 @@ def decompose_against_ground(psi: Ket) -> GroundDecomposition:
         amps = amps * (amps[k].conjugate() / abs(amps[k]))
     cos_theta = float(np.clip(amps[0].real, 0.0, 1.0))
     theta = float(np.arccos(cos_theta))
-    if theta < THETA_TOL:
-        return GroundDecomposition(theta=0.0, excited=None)
     rest = amps.copy()
     rest[0] = 0.0
+    # a rounded ground amplitude just below 1 leaves theta ~ 1e-8 with
+    # nothing outside the ground state
+    if theta < THETA_TOL or not np.any(rest):
+        return GroundDecomposition(theta=0.0, excited=None)
     return GroundDecomposition(theta=theta, excited=Ket(rest))
 
 

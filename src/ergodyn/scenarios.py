@@ -1,7 +1,8 @@
 """Named end-to-end scenarios, configuration handling, and engine routing.
 
 Each scenario assembles a mode register, an initial state, the passive
-rotation, and the channel projectors, then evolves them with up to three
+rotation, and its channels (named sets of flat Fock indices whose
+populations are read out), then evolves them with up to three
 independent engines (closed forms, exponential propagator, RK4) and
 cross-checks the results.  The exponential route is canonical; the others
 exist to catch it lying.
@@ -9,7 +10,9 @@ exist to catch it lying.
 
 from __future__ import annotations
 
+import cmath
 import math
+import typing
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -18,8 +21,10 @@ from . import closed_forms as cf
 from .dynamics import (
     EffectiveDynamics,
     TimeSeries,
+    _evolved_states,
     effective_hamiltonian,
     evolve_probabilities,
+    read_channels,
     rk4_expectation_series,
     survival_probability,
 )
@@ -28,11 +33,10 @@ from .fock import (
     Ket,
     ModeSystem,
     Operator,
-    fock_ket,
+    flat_index,
     free_hamiltonian,
-    number_operator,
+    occupation_counts,
     occupations_of,
-    projector,
     pure_density,
     superposition,
     tensor,
@@ -104,6 +108,14 @@ class ScenarioConfig:
     amplitudes: tuple[complex, ...] | None = None
 
     def validated(self) -> "ScenarioConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(
+                isinstance(v, (float, complex)) and not cmath.isfinite(v)
+                for v in items
+            ):
+                raise ConfigError(f.name, f"must be finite, got {value}")
         if self.scenario not in SCENARIO_NAMES:
             raise ConfigError(
                 "scenario",
@@ -124,49 +136,52 @@ class ScenarioConfig:
 # --------------------------------------------------------------------------
 # configuration file / override plumbing
 
-_LIST_KEYS = {"ns", "omega", "cutoffs", "amplitudes"}
-
-_KEY_TYPES = {
-    "scenario": str,
-    "theta": float,
-    "phi": float,
-    "n": int,
-    "m": int,
-    "N": int,
-    "M": int,
-    "ns": int,
-    "omega": float,
-    "omega_a": float,
-    "omega_b": float,
-    "omega_0": float,
-    "E0": float,
-    "cutoffs": int,
-    "t_max": float,
-    "steps": int,
-    "engine": str,
-    "comparison": bool,
-    "r_S": float,
-    "r_E": float,
-    "L": float,
-    "eps": float,
-    "base_omega": float,
-    "amplitudes": complex,
-}
+def _schema() -> dict:
+    """key -> (value type, comma-separated list?) from the ScenarioConfig fields."""
+    out = {}
+    for key, hint in typing.get_type_hints(ScenarioConfig).items():
+        args = typing.get_args(hint)
+        if type(None) in args:  # X | None
+            (hint,) = [a for a in args if a is not type(None)]
+        is_list = typing.get_origin(hint) is tuple  # tuple[X, ...]
+        out[key] = (typing.get_args(hint)[0] if is_list else hint, is_list)
+    return out
 
 
-def _coerce(key: str, raw: str):
-    kind = _KEY_TYPES[key]
-    if key in _LIST_KEYS:
-        items = [s.strip() for s in raw.split(",") if s.strip()]
-        return tuple(kind(s) for s in items)
+_SCHEMA = _schema()
+
+
+def _parse_scalar(kind, text: str):
     if kind is bool:
-        lowered = raw.strip().lower()
+        lowered = text.lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    return kind(raw.strip())
+        raise ValueError(f"not a boolean: {text!r}")
+    return kind(text)
+
+
+def _coerce(key: str, value):
+    """Typed value of config entry ``key``, given as text or as a Python value.
+
+    Text is parsed as a file line or a CLI flag would be; a value that does
+    not parse raises :class:`ConfigError` naming the key.
+    """
+    if key not in _SCHEMA:
+        raise ConfigError(key, "unknown configuration key")
+    kind, is_list = _SCHEMA[key]
+    try:
+        if isinstance(value, str):
+            if is_list:
+                items = [s.strip() for s in value.split(",") if s.strip()]
+                return tuple(_parse_scalar(kind, s) for s in items)
+            return _parse_scalar(kind, value.strip())
+        if value is None:
+            return None
+        return tuple(kind(v) for v in value) if is_list else kind(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(key, f"cannot parse {value!r}: {exc}") from exc
 
 
 def parse_config_text(text: str) -> dict:
@@ -180,12 +195,9 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}", f"expected 'key = value': {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _KEY_TYPES:
+        if key not in _SCHEMA:
             raise ConfigError(key, f"unknown configuration key (line {lineno})")
-        try:
-            out[key] = _coerce(key, raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(key, f"cannot parse {raw.strip()!r}: {exc}") from exc
+        out[key] = _coerce(key, raw.strip())
     return out
 
 
@@ -196,13 +208,7 @@ def load_config(path=None, overrides=None) -> ScenarioConfig:
         with open(path, "r", encoding="utf-8") as fh:
             entries.update(parse_config_text(fh.read()))
     for key, value in (overrides or {}).items():
-        if key not in _KEY_TYPES:
-            raise ConfigError(key, "unknown configuration key")
-        if isinstance(value, str):
-            value = _coerce(key, value)
-        elif key in _LIST_KEYS and value is not None:
-            value = tuple(_KEY_TYPES[key](v) for v in value)
-        entries[key] = value
+        entries[key] = _coerce(key, value)
     return ScenarioConfig(**entries).validated()
 
 
@@ -218,7 +224,7 @@ class _Prepared:
     hamiltonian: Operator
     psi0: Ket
     dyn: EffectiveDynamics
-    projectors: dict
+    channels: dict  # name -> flat Fock indices whose populations it sums
     closed_channels: object  # callable t -> dict of channel arrays, or None
     regime: str  # "exact", "perturbative", "none"
     t_max: float
@@ -247,6 +253,11 @@ def _occ_label(occ) -> str:
     return "p_" + "_".join(str(o) for o in occ)
 
 
+def _fock_channels(system: ModeSystem, occupations) -> dict:
+    """Channel ``p_<occ>`` -> the flat index of basis vector |occ>, per occupation."""
+    return {_occ_label(occ): [flat_index(system, occ)] for occ in occupations}
+
+
 def _ground_offset_hamiltonian(system: ModeSystem, e0: float) -> Operator:
     """Free Hamiltonian with the ground level shifted to energy e0."""
     h = free_hamiltonian(system).matrix.copy()
@@ -273,10 +284,7 @@ def _single_mode(cfg: ScenarioConfig, eigenstate: bool) -> _Prepared:
     dyn = effective_hamiltonian(hamiltonian, passive_unitary_for(psi, system))
     gap = n * omega - cfg.E0
     omega_osc = cf.oscillation_frequency(theta, gap)
-    projectors = {
-        _occ_label((0,)): projector(fock_ket(system, (0,))),
-        _occ_label((n,)): projector(fock_ket(system, (n,))),
-    }
+    channels = _fock_channels(system, [(0,), (n,)])
 
     def closed(t):
         p0, pn = cf.two_level_probabilities(theta, gap, t)
@@ -293,7 +301,7 @@ def _single_mode(cfg: ScenarioConfig, eigenstate: bool) -> _Prepared:
         hamiltonian=hamiltonian,
         psi0=psi,
         dyn=dyn,
-        projectors=projectors,
+        channels=channels,
         closed_channels=closed,
         regime="exact",
         t_max=_require(cfg.t_max, t_default),
@@ -336,9 +344,7 @@ def _product_modes(cfg: ScenarioConfig, ns, omegas) -> _Prepared:
     psi = superposition(system, {occ: root ** len(ns) for occ in corners})
 
     dyn = effective_hamiltonian(hamiltonian, u_p)
-    projectors = {
-        _occ_label(occ): projector(fock_ket(system, occ)) for occ in corners
-    }
+    channels = _fock_channels(system, corners)
 
     def closed(t):
         t = np.asarray(t, dtype=float)
@@ -375,7 +381,7 @@ def _product_modes(cfg: ScenarioConfig, ns, omegas) -> _Prepared:
         hamiltonian=hamiltonian,
         psi0=psi,
         dyn=dyn,
-        projectors=projectors,
+        channels=channels,
         closed_channels=closed,
         regime="exact",
         t_max=_require(cfg.t_max, t_default),
@@ -410,10 +416,7 @@ def _entangled_pair(cfg: ScenarioConfig) -> _Prepared:
     hamiltonian = free_hamiltonian(system)
     dyn = effective_hamiltonian(hamiltonian, passive_unitary_for(psi, system))
     gap = n * omega_a + m * omega_b
-    projectors = {
-        _occ_label((0, 0)): projector(fock_ket(system, (0, 0))),
-        _occ_label((n, m)): projector(fock_ket(system, (n, m))),
-    }
+    channels = _fock_channels(system, [(0, 0), (n, m)])
 
     def closed(t):
         p00, pnm = cf.noon_probabilities(n, m, omega_a, omega_b, t)
@@ -430,7 +433,7 @@ def _entangled_pair(cfg: ScenarioConfig) -> _Prepared:
         hamiltonian=hamiltonian,
         psi0=psi,
         dyn=dyn,
-        projectors=projectors,
+        channels=channels,
         closed_channels=closed,
         regime="exact",
         t_max=_require(cfg.t_max, 4 * math.pi / omega_osc),
@@ -507,11 +510,7 @@ def _moon(cfg: ScenarioConfig, flavor: str) -> _Prepared:
     dyn = effective_hamiltonian(hamiltonian, passive_unitary_for(psi, system))
     first = (m_occ, 0)
     second = (0, n_occ)
-    projectors = {
-        _occ_label((0, 0)): projector(fock_ket(system, (0, 0))),
-        _occ_label(first): projector(fock_ket(system, first)),
-        _occ_label(second): projector(fock_ket(system, second)),
-    }
+    channels = _fock_channels(system, [(0, 0), first, second])
 
     if flavor == "degenerate":
         p_first, p_second = cf.moon_degenerate_probabilities(phi)
@@ -569,7 +568,7 @@ def _moon(cfg: ScenarioConfig, flavor: str) -> _Prepared:
         hamiltonian=hamiltonian,
         psi0=psi,
         dyn=dyn,
-        projectors=projectors,
+        channels=channels,
         closed_channels=closed,
         regime=regime,
         t_max=_require(cfg.t_max, t_default),
@@ -599,23 +598,20 @@ def _custom_state(cfg: ScenarioConfig) -> _Prepared:
             f"expected {system.dimension} amplitudes for this basis, "
             f"got {len(cfg.amplitudes)}",
         )
-    psi = Ket(np.asarray(cfg.amplitudes, dtype=complex))
+    try:
+        psi = Ket(cfg.amplitudes)
+    except ValueError as exc:  # all amplitudes zero
+        raise ConfigError("amplitudes", str(exc)) from None
     hamiltonian = _ground_offset_hamiltonian(system, cfg.E0)
     dyn = effective_hamiltonian(hamiltonian, passive_unitary_for(psi, system))
 
-    support = [0] + [
-        k for k in range(1, system.dimension) if abs(psi.amplitudes[k]) > 1e-12
-    ]
-    projectors = {}
-    covered = np.zeros((system.dimension, system.dimension), dtype=complex)
-    for k in support:
-        occ = occupations_of(system, k)
-        op = projector(fock_ket(system, occ))
-        projectors[_occ_label(occ)] = op
-        covered += op.matrix
-    rest = np.eye(system.dimension) - covered
-    if np.abs(rest).max() > 1e-12:
-        projectors["p_other"] = Operator(rest, hermitian_hint=True)
+    # the vacuum and every basis vector the state occupies; the rest of the
+    # basis, if any, is read as one channel p_other
+    support = np.union1d([0], np.flatnonzero(np.abs(psi.amplitudes) > 1e-12))
+    channels = {_occ_label(occupations_of(system, k)): [k] for k in support}
+    rest = np.setdiff1d(np.arange(system.dimension), support)
+    if rest.size:
+        channels["p_other"] = rest
 
     omega_osc = cf.oscillation_frequency(dynamics_theta(dyn), dyn.energy_gap)
     part_b = tuple(range(1, system.modes)) if system.modes > 1 else ()
@@ -624,7 +620,7 @@ def _custom_state(cfg: ScenarioConfig) -> _Prepared:
         hamiltonian=hamiltonian,
         psi0=psi,
         dyn=dyn,
-        projectors=projectors,
+        channels=channels,
         closed_channels=None,
         regime="none",
         t_max=_require(cfg.t_max, 4 * math.pi / omega_osc if omega_osc > 0 else 10.0),
@@ -673,20 +669,9 @@ def _prepare(cfg: ScenarioConfig) -> _Prepared:
 # engines
 
 
-def _rk4_channels(prep: _Prepared, t_grid, ops: dict) -> dict:
-    """Heisenberg RK4 route: evolve all observables jointly, read expectations."""
-    return rk4_expectation_series(
-        prep.dyn, ops, prep.psi0, t_grid, omega_max=max(prep.system.omega)
-    )
-
-
-def _exponential_channels(prep: _Prepared, t_grid) -> dict:
+def _exponential_channels(prep: _Prepared, t_grid, occupations) -> dict:
     series = evolve_probabilities(
-        prep.dyn,
-        prep.psi0,
-        prep.projectors,
-        t_grid,
-        number_op=number_operator(prep.system),
+        prep.dyn, prep.psi0, prep.channels, t_grid, occupations
     )
     surv = survival_probability(prep.dyn, prep.psi0, t_grid)
     channels = dict(series.channels)
@@ -694,24 +679,12 @@ def _exponential_channels(prep: _Prepared, t_grid) -> dict:
     return channels
 
 
-def _standard_channels(prep: _Prepared, t_grid) -> dict:
-    """Same observables under the unmodified propagator exp(-i H t)."""
-    evals, evecs = np.linalg.eigh(prep.hamiltonian.matrix)
-    modes = evecs.conj().T @ prep.psi0.amplitudes
-    phases = np.exp(-1j * np.outer(evals, np.asarray(t_grid, dtype=float)))
-    states = evecs @ (phases * modes[:, None])
-    out = {}
-    for name, op in prep.projectors.items():
-        out["std_" + name] = np.einsum(
-            "it,it->t", states.conj(), op.matrix @ states
-        ).real
-    nop = number_operator(prep.system)
-    out["std_n_expect"] = np.einsum(
-        "it,it->t", states.conj(), nop.matrix @ states
-    ).real
-    amp = prep.psi0.amplitudes.conj() @ states
-    out["std_p_survival"] = np.abs(amp) ** 2
-    return out
+def _standard_channels(prep: _Prepared, t_grid, occupations) -> dict:
+    """Same channels under the unmodified propagator exp(-i H t)."""
+    states = _evolved_states(prep.hamiltonian.matrix, prep.psi0.amplitudes, t_grid)
+    out = read_channels(states, prep.channels, occupations)
+    out["p_survival"] = np.abs(prep.psi0.amplitudes.conj() @ states) ** 2
+    return {"std_" + name: values for name, values in out.items()}
 
 
 def run_scenario(cfg: ScenarioConfig, strict: bool = True):
@@ -724,6 +697,7 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
     cfg = cfg.validated()
     prep = _prepare(cfg)
     t_grid = np.linspace(0.0, prep.t_max, cfg.steps)
+    occupations = occupation_counts(prep.system)
 
     engine = cfg.engine
     if engine == "analytic" and prep.closed_channels is None:
@@ -735,16 +709,21 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
     analytic = None
     rk4 = None
     if engine in ("exponential", "all"):
-        exponential = _exponential_channels(prep, t_grid)
+        exponential = _exponential_channels(prep, t_grid, occupations)
     if engine in ("analytic", "all") and prep.closed_channels is not None:
         analytic = prep.closed_channels(t_grid)
         analytic = {k: np.broadcast_to(v, t_grid.shape).astype(float)
                     for k, v in analytic.items()}
     if engine in ("rk4", "all"):
-        ops = dict(prep.projectors)
-        ops["n_expect"] = number_operator(prep.system)
-        ops["p_survival"] = projector(prep.psi0)
-        rk4 = _rk4_channels(prep, t_grid, ops)
+        rk4 = rk4_expectation_series(
+            prep.dyn,
+            prep.psi0,
+            prep.channels,
+            t_grid,
+            occupations,
+            survival=True,
+            omega_max=max(prep.system.omega),
+        )
     if engine == "exponential":
         primary = exponential
     elif engine == "analytic":
@@ -767,13 +746,13 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
         )
     max_residual = max(residuals.values(), default=0.0)
 
-    prob_names = [name for name in prep.projectors]
+    prob_names = list(prep.channels)
     channels = dict(primary)
     probability_channels = set(prob_names) | {"p_survival"}
     partitions = [tuple(prob_names)]
 
     if cfg.comparison:
-        std = _standard_channels(prep, t_grid)
+        std = _standard_channels(prep, t_grid, occupations)
         for name, values in std.items():
             channels[name] = values
         probability_channels |= {"std_" + n for n in prob_names}
@@ -854,8 +833,8 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 
 
 SWEEPABLE = {
-    name for name, kind in _KEY_TYPES.items()
-    if kind in (int, float) and name not in _LIST_KEYS
+    name for name, (kind, is_list) in _SCHEMA.items()
+    if kind in (int, float) and not is_list
 }
 
 
@@ -868,12 +847,11 @@ def sweep(cfg: ScenarioConfig, parameter: str, values):
         )
     rows = []
     for value in values:
-        kind = _KEY_TYPES[parameter]
-        cfg_i = replace(cfg, **{parameter: kind(value)})
-        _, summary = run_scenario(cfg_i, strict=True)
+        value = _coerce(parameter, value)
+        _, summary = run_scenario(replace(cfg, **{parameter: value}), strict=True)
         rows.append(
             {
-                parameter: kind(value),
+                parameter: value,
                 "omega_osc": summary["omega_osc"],
                 "energy_gap": summary["energy_gap"],
                 "coherence": summary["coherence"],

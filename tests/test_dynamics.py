@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ergodyn import (
@@ -13,15 +15,16 @@ from ergodyn import (
     evolve_probabilities,
     expanded_generator,
     first_order_dyson,
+    flat_index,
     fock_ket,
     free_hamiltonian,
     identity_operator,
     number_operator,
+    occupation_counts,
     passive_unitary_for,
     projector,
     propagator,
     rk4_commutator_oracle,
-    standard_propagator,
     subspace_generator,
     superposition,
     survival_probability,
@@ -30,7 +33,8 @@ from ergodyn import (
     two_level_survival,
     vacuum_ket,
 )
-from ergodyn.dynamics import TimeSeries
+from ergodyn.dynamics import TimeSeries, _evolved_states, read_channels
+from ergodyn.scenarios import _prepare, load_config, run_scenario
 
 
 def two_level_setup(theta, gap, cutoff=1):
@@ -181,7 +185,7 @@ def test_block_route_matches_propagator_route():
     series = evolve_probabilities(
         dyn,
         psi,
-        {"p0": projector(fock_ket(sys_, (0,))), "pe": projector(fock_ket(sys_, (1,)))},
+        {"p0": [flat_index(sys_, (0,))], "pe": [flat_index(sys_, (1,))]},
         t,
     )
     np.testing.assert_allclose(p0_block, series.channels["p0"], atol=1e-10)
@@ -214,34 +218,41 @@ def test_propagator_two_level_probability_closed_form():
     sys_, psi, dyn = two_level_setup(theta, gap)
     t = np.linspace(0.0, 12.0, 200)
     series = evolve_probabilities(
-        dyn, psi, {"pe": projector(fock_ket(sys_, (1,)))}, t, partition=False
+        dyn, psi, {"pe": [flat_index(sys_, (1,))]}, t, partition=False
     )
     _, pe = two_level_probabilities(theta, gap, t)
     np.testing.assert_allclose(series.channels["pe"], pe, atol=1e-12)
 
 
-def test_standard_propagator_basics():
-    sys_ = ModeSystem((1.0,), (3,))
-    h = free_hamiltonian(sys_)
-    np.testing.assert_allclose(standard_propagator(h, 0.0).matrix, np.eye(4), atol=1e-15)
-    psi = fock_ket(sys_, (2,))
-    for t in (0.5, 3.0):
-        u = standard_propagator(h, t).matrix
-        assert abs(np.vdot(psi.amplitudes, u @ psi.amplitudes)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+def _compare_run(**overrides):
+    """Series of ``ergodyn compare``: the std_* channels come from exp(-i H t)."""
+    overrides = {"engine": "exponential", "comparison": "true", **overrides}
+    series, _ = run_scenario(load_config(None, overrides))
+    return series.channels
+
+
+def test_standard_route_keeps_eigenstate_survival():
+    channels = _compare_run(
+        scenario="single-eigenstate", n="2", cutoffs="3", t_max="3.0", steps="7"
+    )
+    np.testing.assert_allclose(channels["std_p_survival"], 1.0, atol=1e-12)
+    np.testing.assert_allclose(channels["std_p_2"], 1.0, atol=1e-12)
+    np.testing.assert_allclose(channels["std_p_0"], 0.0, atol=1e-12)
+    assert channels["std_n_expect"][0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_standard_dynamics_keeps_populations_constant():
-    sys_ = ModeSystem((1.0,), (4,))
-    psi = superposition(sys_, {(0,): 1.0, (3,): 1.0})
-    h = free_hamiltonian(sys_)
-    pn = projector(fock_ket(sys_, (3,)))
-    for t in np.linspace(0.0, 9.0, 40):
-        u = standard_propagator(h, t).matrix
-        evolved = u @ psi.amplitudes
-        p = float((evolved.conj() @ pn.matrix @ evolved).real)
-        assert p == pytest.approx(0.5, abs=1e-12)
+    channels = _compare_run(
+        scenario="custom-state",
+        cutoffs="4",
+        omega="1.0",
+        amplitudes="1,0,0,1,0",
+        t_max="9.0",
+        steps="40",
+    )
+    np.testing.assert_allclose(channels["std_p_0"], 0.5, atol=1e-12)
+    np.testing.assert_allclose(channels["std_p_3"], 0.5, atol=1e-12)
+    np.testing.assert_allclose(channels["std_p_other"], 0.0, atol=1e-12)
 
 
 # ------------------------------------------------------------- RK4 oracle
@@ -323,11 +334,11 @@ def test_evolution_initial_values_are_overlaps():
         dyn,
         psi,
         {
-            "p0": projector(fock_ket(sys_, (0,))),
-            "p2": projector(fock_ket(sys_, (2,))),
+            "p0": [flat_index(sys_, (0,))],
+            "p2": [flat_index(sys_, (2,))],
         },
         t,
-        number_op=number_operator(sys_),
+        occupations=occupation_counts(sys_),
     )
     assert series.channels["p0"][0] == pytest.approx(0.36, abs=1e-12)
     assert series.channels["p2"][0] == pytest.approx(0.64, abs=1e-12)
@@ -345,9 +356,9 @@ def test_number_expectation_closed_form():
     series = evolve_probabilities(
         dyn,
         psi,
-        {"p0": projector(fock_ket(sys_, (0,))), "pn": projector(fock_ket(sys_, (n,)))},
+        {"p0": [flat_index(sys_, (0,))], "pn": [flat_index(sys_, (n,))]},
         t,
-        number_op=number_operator(sys_),
+        occupations=occupation_counts(sys_),
     )
     expected = 0.5 * n * (1.0 + np.sin(n * omega * t / np.sqrt(2.0)) ** 2)
     np.testing.assert_allclose(series.channels["n_expect"], expected, atol=1e-10)
@@ -361,9 +372,55 @@ def test_eigenstate_is_stationary():
     )
     t = np.linspace(0.0, 25.0, 101)
     series = evolve_probabilities(
-        dyn, psi, {"pn": projector(psi)}, t, partition=False
+        dyn, psi, {"pn": [flat_index(sys_, (3,))]}, t, partition=False
     )
     np.testing.assert_allclose(series.channels["pn"], 1.0, atol=1e-10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    cutoffs=st.sampled_from([(3,), (5,), (1, 2), (2, 2)]),
+    data=st.data(),
+)
+def test_index_readout_matches_dense_projectors(cutoffs, data):
+    # oracle: each channel as the dense projector its name denotes, with
+    # p_other = 1 - sum of the others; the support leaves at least one basis
+    # vector out, so p_other is always present
+    sys_ = ModeSystem((1.0, 1.7)[: len(cutoffs)], cutoffs)
+    dim = sys_.dimension
+    support = data.draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 2))
+    amps = [0j] * dim
+    for k in support:
+        amps[k] = data.draw(
+            st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0), label=f"amp{k}"
+        )
+    cfg = load_config(
+        None,
+        {
+            "scenario": "custom-state",
+            "cutoffs": ",".join(map(str, cutoffs)),
+            "omega": ",".join(map(str, sys_.omega)),
+            "amplitudes": ",".join(map(repr, amps)),
+        },
+    )
+    prep = _prepare(cfg)
+    states = _evolved_states(
+        prep.dyn.h_eff.matrix, prep.psi0.amplitudes, np.linspace(0.0, 5.0, 7)
+    )
+    got = read_channels(states, prep.channels)
+
+    covered = np.zeros((dim, dim), dtype=complex)
+    dense = {}
+    for name in prep.channels:
+        if name != "p_other":
+            occ = tuple(int(o) for o in name[2:].split("_"))
+            dense[name] = projector(fock_ket(sys_, occ)).matrix
+            covered += dense[name]
+    dense["p_other"] = np.eye(dim) - covered
+    assert set(dense) == set(got)
+    for name, p in dense.items():
+        expected = np.einsum("it,it->t", states.conj(), p @ states).real
+        np.testing.assert_allclose(got[name], expected, rtol=0.0, atol=1e-14)
 
 
 def test_survival_closed_forms():
@@ -444,23 +501,23 @@ def test_product_rotation_factorizes_generator():
         dyn_ab,
         psi_ab,
         {
-            "p00": projector(fock_ket(sys_ab, (0, 0))),
-            "pn0": projector(fock_ket(sys_ab, (n, 0))),
-            "p0m": projector(fock_ket(sys_ab, (0, m))),
-            "pnm": projector(fock_ket(sys_ab, (n, m))),
+            "p00": [flat_index(sys_ab, (0, 0))],
+            "pn0": [flat_index(sys_ab, (n, 0))],
+            "p0m": [flat_index(sys_ab, (0, m))],
+            "pnm": [flat_index(sys_ab, (n, m))],
         },
         t,
     )
     pa = evolve_probabilities(
         dyn_a,
         psi_a,
-        {"p0": projector(fock_ket(sys_a, (0,))), "pn": projector(fock_ket(sys_a, (n,)))},
+        {"p0": [flat_index(sys_a, (0,))], "pn": [flat_index(sys_a, (n,))]},
         t,
     )
     pb = evolve_probabilities(
         dyn_b,
         psi_b,
-        {"p0": projector(fock_ket(sys_b, (0,))), "pm": projector(fock_ket(sys_b, (m,)))},
+        {"p0": [flat_index(sys_b, (0,))], "pm": [flat_index(sys_b, (m,))]},
         t,
     )
     np.testing.assert_allclose(

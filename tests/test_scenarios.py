@@ -69,6 +69,19 @@ def test_config_field_level_errors():
         run("custom-state", amplitudes="1,0,0", cutoffs="2", omega="1.0",
             engine="analytic")
     assert err.value.field == "engine"
+    with pytest.raises(ConfigError) as err:
+        run("custom-state", amplitudes="0,0j,0", cutoffs="2", omega="1.0")
+    assert err.value.field == "amplitudes"
+    for key, value in (
+        ("steps", "2.5"),
+        ("theta", "abc"),
+        ("t_max", "inf"),
+        ("omega", "nan"),
+        ("amplitudes", "1,nan,0"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            run("single-mode-superposition", **{key: value})
+        assert err.value.field == key
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="nope").validated()
 
@@ -346,9 +359,22 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert json.loads(json_path.read_text())["config"]["n"] == 3
 
 
-def test_cli_validation_error_exit_code(capsys):
+def test_cli_validation_error_exit_code(monkeypatch, capsys):
     assert main(["run", "--scenario", "does-not-exist"]) == 2
     assert "configuration error" in capsys.readouterr().err
+    for args, field in (
+        (["--steps", "2.5"], "steps"),
+        (["--theta", "abc"], "theta"),
+        (["--t_max", "inf"], "t_max"),
+        (["--omega", "nan"], "omega"),
+        (["--scenario", "custom-state", "--cutoffs", "2", "--omega", "1.0",
+          "--amplitudes", "0,0,0"], "amplitudes"),
+    ):
+        assert main(["run", "--engine", "exponential", *args]) == 2
+        assert f"configuration error in {field}:" in capsys.readouterr().err
+    monkeypatch.setenv("ERGODYN_DIM_CAP", "abc")
+    assert main(["run", "--engine", "exponential"]) == 2
+    assert "ERGODYN_DIM_CAP" in capsys.readouterr().err
 
 
 def test_cli_compare_adds_channels(tmp_path):
