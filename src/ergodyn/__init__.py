@@ -29,7 +29,6 @@ from .dynamics import (
     first_order_dyson,
     propagator,
     read_channels,
-    rk4_commutator_oracle,
     rk4_expectation_series,
     subspace_generator,
     survival_probability,
@@ -44,12 +43,10 @@ from .errors import (
     RefinementError,
 )
 from .fock import (
-    BasisIndex,
     DensityOperator,
     Ket,
     ModeSystem,
     Operator,
-    build_basis,
     flat_index,
     fock_ket,
     free_hamiltonian,
@@ -68,7 +65,6 @@ from .passive import (
     GroundDecomposition,
     build_passive_unitary,
     decompose_against_ground,
-    passive_energy,
     passive_state,
     passive_unitary_for,
 )

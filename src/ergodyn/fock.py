@@ -1,6 +1,6 @@
 """Truncated multimode bosonic Hilbert space.
 
-Basis enumeration, state vectors, operators and tensor products for a
+Basis indexing, state vectors, operators and tensor products for a
 register of harmonic modes, each truncated at a per-mode occupation cutoff.
 Internally hbar = 1, so every energy in the package is an angular frequency
 (rad/s).  Basis order is row-major in the mode occupations with the global
@@ -80,19 +80,6 @@ class ModeSystem:
         for c in self.cutoff:
             dim *= c + 1
         return dim
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """Occupation label of one Fock basis vector."""
-
-    occupations: tuple[int, ...]
-
-
-def build_basis(system: ModeSystem) -> list[BasisIndex]:
-    """Enumerate the full basis in row-major order, vacuum first."""
-    shape = tuple(c + 1 for c in system.cutoff)
-    return [BasisIndex(occ) for occ in np.ndindex(*shape)]
 
 
 def flat_index(system: ModeSystem, occupations) -> int:

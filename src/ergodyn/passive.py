@@ -124,9 +124,3 @@ def passive_state(rho: DensityOperator, hamiltonian: Operator) -> DensityOperato
     populations = populations / populations.sum()
     out = (levels * populations) @ levels.conj().T
     return DensityOperator(out)
-
-
-def passive_energy(rho: DensityOperator, hamiltonian: Operator) -> float:
-    """Energy of the passive rearrangement, Tr(rho_p H)."""
-    rho_p = passive_state(rho, hamiltonian)
-    return float(np.trace(rho_p.matrix @ hamiltonian.matrix).real)

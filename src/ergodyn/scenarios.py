@@ -28,7 +28,7 @@ from .dynamics import (
     rk4_expectation_series,
     survival_probability,
 )
-from .errors import ConfigError, EngineDisagreementError
+from .errors import ConfigError, EngineDisagreementError, RefinementError
 from .fock import (
     Ket,
     ModeSystem,
@@ -451,6 +451,16 @@ def _moon(cfg: ScenarioConfig, flavor: str) -> _Prepared:
         m_occ = n_occ
         phi = math.pi / 4
         omega_a = _require(cfg.omega_0, 1.0)
+        if n_occ < 1:
+            raise ConfigError("N", f"occupation must be >= 1, got {n_occ}")
+        if omega_a <= 0:
+            raise ConfigError("omega_0", f"frequency must be positive, got {omega_a}")
+        if cfg.r_E <= 0:
+            raise ConfigError("r_E", f"radius must be positive, got {cfg.r_E}")
+        if cfg.L >= 0.1 * cfg.r_E:
+            raise ConfigError(
+                "L", f"first-order redshift needs L < 0.1 r_E, got L={cfg.L:g}"
+            )
         scenario = cf.GravityScenario(
             schwarzschild_radius=cfg.r_S,
             earth_radius=cfg.r_E,
@@ -582,15 +592,19 @@ def _moon(cfg: ScenarioConfig, flavor: str) -> _Prepared:
 def _custom_state(cfg: ScenarioConfig) -> _Prepared:
     if cfg.amplitudes is None:
         raise ConfigError("amplitudes", "custom-state needs explicit amplitudes")
-    if cfg.cutoffs is None:
+    if not cfg.cutoffs:
         raise ConfigError("cutoffs", "custom-state needs explicit cutoffs")
-    if cfg.omega is None:
+    if not cfg.omega:
         raise ConfigError("omega", "custom-state needs one frequency per mode")
     if len(cfg.omega) != len(cfg.cutoffs):
         raise ConfigError(
             "omega",
             f"{len(cfg.omega)} frequencies for {len(cfg.cutoffs)} cutoffs",
         )
+    if min(cfg.cutoffs) < 1:
+        raise ConfigError("cutoffs", f"every cutoff must be >= 1, got {cfg.cutoffs}")
+    if min(cfg.omega) <= 0:
+        raise ConfigError("omega", f"frequencies must be positive, got {cfg.omega}")
     system = ModeSystem(cfg.omega, cfg.cutoffs)
     if len(cfg.amplitudes) != system.dimension:
         raise ConfigError(
@@ -761,12 +775,23 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
         for name in prob_names + ["p_survival", "n_expect"]:
             channels["delta_" + name] = channels[name] - std["std_" + name]
 
-    series = TimeSeries(
-        t_grid,
-        channels,
-        probability_channels=probability_channels & set(channels),
-        partitions=partitions,
-    )
+    try:
+        series = TimeSeries(
+            t_grid,
+            channels,
+            probability_channels=probability_channels & set(channels),
+            partitions=partitions,
+        )
+    except ValueError as exc:
+        if engine != "rk4":
+            raise
+        # the channels hold all of the state's population, so a failed check
+        # is the squared-norm drift of the RK4 state: inside RK4_DRIFT_TOL but
+        # past the bound of the series
+        raise RefinementError(
+            f"RK4 state norm drift fails the series check: {exc}; "
+            "shorten t_max or choose engine exponential"
+        ) from None
 
     rho = pure_density(prep.psi0)
     coherence = l1_coherence(rho)

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from ergodyn import (
     GridError,
+    RefinementError,
     Ket,
     ModeSystem,
     Operator,
@@ -19,12 +20,11 @@ from ergodyn import (
     fock_ket,
     free_hamiltonian,
     identity_operator,
-    number_operator,
     occupation_counts,
     passive_unitary_for,
     projector,
     propagator,
-    rk4_commutator_oracle,
+    rk4_expectation_series,
     subspace_generator,
     superposition,
     survival_probability,
@@ -34,7 +34,7 @@ from ergodyn import (
     vacuum_ket,
 )
 from ergodyn.dynamics import TimeSeries, _evolved_states, read_channels
-from ergodyn.scenarios import _prepare, load_config, run_scenario
+from ergodyn.scenarios import TOL_RK4, _prepare, load_config, run_scenario
 
 
 def two_level_setup(theta, gap, cutoff=1):
@@ -255,32 +255,39 @@ def test_standard_dynamics_keeps_populations_constant():
     np.testing.assert_allclose(channels["std_p_other"], 0.0, atol=1e-12)
 
 
-# ------------------------------------------------------------- RK4 oracle
+# ------------------------------------------------------------- RK4 route
 
 
 def test_rk4_static_generator_keeps_operator():
+    # the vacuum has H_eff = 0, so the powered step is the identity and every
+    # channel keeps its initial value bit for bit
     sys_ = ModeSystem((1.0,), (2,))
+    psi = vacuum_ket(sys_)
     dyn = effective_hamiltonian(
-        free_hamiltonian(sys_), passive_unitary_for(vacuum_ket(sys_), sys_)
+        free_hamiltonian(sys_), passive_unitary_for(psi, sys_)
     )
-    nop = number_operator(sys_)
     t = np.linspace(0.0, 5.0, 11)
-    stack = rk4_commutator_oracle(dyn, nop, t, substeps=4)
-    for frame in stack:
-        np.testing.assert_array_equal(frame, nop.matrix)
+    got = rk4_expectation_series(
+        dyn, psi, {"p_0": [0], "p_other": [1, 2]}, t,
+        occupation_counts(sys_), survival=True, substeps=4,
+    )
+    assert got.keys() == {"p_0", "p_other", "n_expect", "p_survival"}
+    np.testing.assert_array_equal(got["p_0"], 1.0)
+    np.testing.assert_array_equal(got["p_other"], 0.0)
+    np.testing.assert_array_equal(got["n_expect"], 0.0)
+    np.testing.assert_array_equal(got["p_survival"], 1.0)
 
 
 def test_rk4_fourth_order_convergence():
     theta, gap = 0.9, 1.5
     sys_, psi, dyn = two_level_setup(theta, gap)
-    p_op = projector(fock_ket(sys_, (1,)))
+    channels = {"pe": [flat_index(sys_, (1,))]}
     t = np.linspace(0.0, 6.0, 31)
 
     def max_err(substeps):
-        stack = rk4_commutator_oracle(dyn, p_op, t, substeps=substeps)
-        got = np.einsum("i,tij,j->t", psi.amplitudes.conj(), stack, psi.amplitudes).real
+        got = rk4_expectation_series(dyn, psi, channels, t, substeps=substeps)
         _, expected = two_level_probabilities(theta, gap, t)
-        return np.abs(got - expected).max()
+        return np.abs(got["pe"] - expected).max()
 
     coarse, fine = max_err(40), max_err(80)
     assert coarse / fine == pytest.approx(16.0, rel=0.25)
@@ -290,28 +297,68 @@ def test_rk4_matches_closed_form_at_default_step():
     theta, gap = np.pi / 4, 1.0
     sys_, psi, dyn = two_level_setup(theta, gap)
     t = np.linspace(0.0, 2 * np.pi / (np.sin(theta) * gap), 201)
-    p_op = projector(fock_ket(sys_, (1,)))
-    dt = t[1] - t[0]
-    substeps = max(1, int(np.ceil(dt / (1e-3 / gap))))
-    stack = rk4_commutator_oracle(dyn, p_op, t, substeps=substeps)
-    got = np.einsum("i,tij,j->t", psi.amplitudes.conj(), stack, psi.amplitudes).real
+    got = rk4_expectation_series(
+        dyn, psi, {"pe": [flat_index(sys_, (1,))]}, t, survival=True,
+        omega_max=gap,
+    )
     _, expected = two_level_probabilities(theta, gap, t)
-    assert np.abs(got - expected).max() < 1e-8
+    assert np.abs(got["pe"] - expected).max() < 1e-8
+    survival = two_level_survival(theta, gap, t)
+    assert np.abs(got["p_survival"] - survival).max() < 1e-8
 
 
 def test_rk4_rejects_nonuniform_grid():
-    _, _, dyn = two_level_setup(0.3, 1.0)
+    _, psi, dyn = two_level_setup(0.3, 1.0)
     with pytest.raises(GridError):
-        rk4_commutator_oracle(dyn, identity_operator(2), [0.0, 0.1, 0.3])
+        rk4_expectation_series(dyn, psi, {"p0": [0]}, [0.0, 0.1, 0.3])
 
 
 def test_rk4_rejects_overly_coarse_step():
-    from ergodyn import RefinementError
-
     sys_, psi, dyn = two_level_setup(0.9, 5.0)
-    p_op = projector(fock_ket(sys_, (1,)))
     with pytest.raises(RefinementError):
-        rk4_commutator_oracle(dyn, p_op, np.linspace(0.0, 40.0, 5), substeps=1)
+        rk4_expectation_series(
+            dyn, psi, {"pe": [flat_index(sys_, (1,))]},
+            np.linspace(0.0, 40.0, 5), substeps=1,
+        )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    cutoffs=st.sampled_from([(3,), (7,), (15,), (1, 2), (3, 3), (1, 1, 1)]),
+    data=st.data(),
+)
+def test_rk4_matches_exponential_on_random_custom_states(cutoffs, data):
+    sys_ = ModeSystem((1.0, 1.7, 2.3)[: len(cutoffs)], cutoffs)
+    dim = sys_.dimension
+    support = data.draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 2))
+    amps = np.zeros(dim, dtype=complex)
+    for k in support:
+        amps[k] = data.draw(
+            st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0), label=f"amp{k}"
+        )
+    cfg = load_config(
+        None,
+        {
+            "scenario": "custom-state",
+            "cutoffs": ",".join(map(str, cutoffs)),
+            "omega": ",".join(map(str, sys_.omega)),
+            "amplitudes": ",".join(map(repr, amps.tolist())),
+        },
+    )
+    prep = _prepare(cfg)
+    occupations = occupation_counts(sys_)
+    t = np.linspace(0.0, 6.0, 25)
+    got = rk4_expectation_series(
+        prep.dyn, prep.psi0, prep.channels, t, occupations, survival=True,
+        omega_max=max(sys_.omega),
+    )
+    expected = dict(
+        evolve_probabilities(prep.dyn, prep.psi0, prep.channels, t, occupations).channels
+    )
+    expected.update(survival_probability(prep.dyn, prep.psi0, t).channels)
+    assert "p_other" in got and got.keys() == expected.keys()
+    for name, values in expected.items():
+        assert np.abs(got[name] - values).max() <= TOL_RK4, name
 
 
 def test_propagator_rejects_nonfinite_time():

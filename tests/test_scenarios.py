@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -72,6 +73,18 @@ def test_config_field_level_errors():
     with pytest.raises(ConfigError) as err:
         run("custom-state", amplitudes="0,0j,0", cutoffs="2", omega="1.0")
     assert err.value.field == "amplitudes"
+    for overrides, field in (
+        ({"cutoffs": "0", "omega": "1.0", "amplitudes": "1"}, "cutoffs"),
+        ({"cutoffs": "1", "omega": "0", "amplitudes": "1,1"}, "omega"),
+        ({"cutoffs": "1", "omega": "-1", "amplitudes": "1,1"}, "omega"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            run("custom-state", **overrides)
+        assert err.value.field == field
+    for key, value in (("omega_0", "-1"), ("N", "0"), ("L", "1e6"), ("r_E", "0")):
+        with pytest.raises(ConfigError) as err:
+            run("gravitational-mzi", **{key: value})
+        assert err.value.field == key
     for key, value in (
         ("steps", "2.5"),
         ("theta", "abc"),
@@ -369,6 +382,11 @@ def test_cli_validation_error_exit_code(monkeypatch, capsys):
         (["--omega", "nan"], "omega"),
         (["--scenario", "custom-state", "--cutoffs", "2", "--omega", "1.0",
           "--amplitudes", "0,0,0"], "amplitudes"),
+        (["--scenario", "custom-state", "--cutoffs", "0", "--omega", "1.0",
+          "--amplitudes", "1"], "cutoffs"),
+        (["--scenario", "custom-state", "--cutoffs", "1", "--omega", "0",
+          "--amplitudes", "1,1"], "omega"),
+        (["--scenario", "gravitational-mzi", "--omega_0", "-1"], "omega_0"),
     ):
         assert main(["run", "--engine", "exponential", *args]) == 2
         assert f"configuration error in {field}:" in capsys.readouterr().err
@@ -430,6 +448,18 @@ def test_cli_engine_disagreement_exit_code(monkeypatch, capsys):
     )
     assert code == 3
     assert "engine disagreement" in capsys.readouterr().err
+
+
+def test_cli_long_rk4_horizon_fails_cleanly(capsys):
+    # 6.75e8 substeps cost one matrix power; RK4 loses ~4e-9 of the squared
+    # norm over the horizon, inside RK4_DRIFT_TOL but past the 1e-9 partition
+    # check of the series, and that ends as a named refinement error
+    start = time.perf_counter()
+    code = main(["run", "--engine", "rk4", "--t_max", "1e6", "--steps", "2"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "RK4 state norm drift" in capsys.readouterr().err
+    assert elapsed < 10.0
 
 
 def test_cli_selftest_wiring(monkeypatch, capsys):
