@@ -23,6 +23,7 @@ from .dynamics import (
     SubspaceGenerator,
     TimeSeries,
     block_probabilities,
+    effective_dynamics,
     effective_hamiltonian,
     evolve_probabilities,
     expanded_generator,
@@ -49,18 +50,18 @@ from .fock import (
     Operator,
     flat_index,
     fock_ket,
+    free_energies,
     free_hamiltonian,
     identity_operator,
     number_operator,
     occupation_counts,
     occupations_of,
     projector,
-    pure_density,
     superposition,
     tensor,
     vacuum_ket,
 )
-from .measures import BipartitionSpec, l1_coherence, negativity, partial_transpose
+from .measures import BipartitionSpec, l1_coherence, negativity
 from .passive import (
     GroundDecomposition,
     build_passive_unitary,

@@ -16,6 +16,8 @@ import numpy as np
 from . import closed_forms as cf
 from .dynamics import (
     _evolved_states,
+    _reduced_states,
+    effective_dynamics,
     effective_hamiltonian,
     evolve_probabilities,
     expanded_generator,
@@ -31,10 +33,9 @@ from .fock import (
     Operator,
     flat_index,
     fock_ket,
+    free_energies,
     free_hamiltonian,
-    identity_operator,
     occupation_counts,
-    pure_density,
     superposition,
     tensor,
     vacuum_ket,
@@ -62,10 +63,7 @@ def _result(number, title, checks, detail):
 def _two_level(theta, gap):
     sys_ = ModeSystem((gap,), (1,))
     psi = superposition(sys_, {(0,): math.cos(theta), (1,): math.sin(theta)})
-    dyn = effective_hamiltonian(
-        free_hamiltonian(sys_), passive_unitary_for(psi, sys_)
-    )
-    return sys_, psi, dyn
+    return sys_, psi, effective_dynamics([(free_energies(sys_), psi)])
 
 
 def criterion_01_two_level_triangle():
@@ -130,8 +128,7 @@ def criterion_03_full_fock_single_mode():
     n, omega = 3, 1.0
     sys_ = ModeSystem((omega,), (4,))
     psi = superposition(sys_, {(0,): 1.0, (n,): 1.0})
-    h = free_hamiltonian(sys_)
-    dyn = effective_hamiltonian(h, passive_unitary_for(psi, sys_))
+    dyn = effective_dynamics([(free_energies(sys_), psi)])
     t = np.linspace(0.0, 20.0, 2001)
     series = evolve_probabilities(
         dyn,
@@ -148,7 +145,7 @@ def criterion_03_full_fock_single_mode():
         np.abs(series.channels["n_expect"] - number).max(),
     )
     # unmodified dynamics keeps both populations pinned at 1/2
-    states = _evolved_states(h.matrix, psi.amplitudes, t)
+    states = _evolved_states(free_hamiltonian(sys_).matrix, psi.amplitudes, t)
     pn_std = read_channels(states, {"pn": [flat_index(sys_, (n,))]})["pn"]
     dev_std = np.abs(pn_std - 0.5).max()
     checks = [
@@ -170,14 +167,12 @@ def criterion_04_two_mode_products():
     )
     sub_a = ModeSystem((omega_a,), (3,))
     sub_b = ModeSystem((omega_b,), (4,))
-    u_a = passive_unitary_for(
-        superposition(sub_a, {(0,): 1.0, (n,): 1.0}), sub_a
+    psi_a = superposition(sub_a, {(0,): 1.0, (n,): 1.0})
+    psi_b = superposition(sub_b, {(0,): 1.0, (m,): 1.0})
+    # one factor per mode: H_eff is the Kronecker sum of the single-mode ones
+    dyn = effective_dynamics(
+        [(free_energies(sub_a), psi_a), (free_energies(sub_b), psi_b)]
     )
-    u_b = passive_unitary_for(
-        superposition(sub_b, {(0,): 1.0, (m,): 1.0}), sub_b
-    )
-    u_p = tensor(u_a, u_b)
-    dyn = effective_hamiltonian(free_hamiltonian(sys_), u_p)
     t = np.linspace(0.0, 9.0, 2001)
     labels = [(0, 0), (n, 0), (0, m), (n, m)]
     series = evolve_probabilities(
@@ -193,13 +188,10 @@ def criterion_04_two_mode_products():
     )
     total = sum(series.channels[str(occ)] for occ in labels)
     dev_sum = np.abs(total - 1.0).max()
-    dyn_a = effective_hamiltonian(free_hamiltonian(sub_a), u_a)
-    dyn_b = effective_hamiltonian(free_hamiltonian(sub_b), u_b)
-    split = (
-        tensor(dyn_a.h_eff, identity_operator(5)).matrix
-        + tensor(identity_operator(4), dyn_b.h_eff).matrix
-    )
-    dev_split = np.abs(dyn.h_eff.matrix - split).max()
+    # the dense conjugation by the product rotation is that Kronecker sum
+    u_p = tensor(passive_unitary_for(psi_a, sub_a), passive_unitary_for(psi_b, sub_b))
+    dense = effective_hamiltonian(free_hamiltonian(sys_), u_p).matrix
+    dev_split = np.abs(dyn.dense() - dense).max()
     checks = [
         (dev <= 1e-9, f"product-form deviation {dev:.2e}"),
         (dev_sum <= 1e-12, f"sum deviation {dev_sum:.2e}"),
@@ -225,9 +217,7 @@ def criterion_05_entangled_pair():
     sys_ = ModeSystem((omega_a, omega_b), (3, 4))
     root = 1.0 / math.sqrt(2.0)
     psi = superposition(sys_, {(0, 0): root, (n, m): root})
-    dyn = effective_hamiltonian(
-        free_hamiltonian(sys_), passive_unitary_for(psi, sys_)
-    )
+    dyn = effective_dynamics([(free_energies(sys_), psi)])
     t = np.linspace(0.0, 40.0, 4001)
     series = evolve_probabilities(
         dyn,
@@ -300,9 +290,7 @@ def criterion_07_perturbative_interferometer():
         psi = superposition(
             sys_, {(n_occ, 0): math.cos(phi), (0, n_occ): math.sin(phi)}
         )
-        dyn = effective_hamiltonian(
-            free_hamiltonian(sys_), passive_unitary_for(psi, sys_)
-        )
+        dyn = effective_dynamics([(free_energies(sys_), psi)])
         t = np.linspace(0.0, 2.0 * math.pi, 801)
         series = evolve_probabilities(
             dyn,
@@ -371,15 +359,13 @@ def criterion_09_measures_and_rates():
     part = BipartitionSpec((0,), (1,))
     worst_c, worst_n = 0.0, 0.0
     for theta in np.linspace(0.0, math.pi / 2, 9):
-        rho = pure_density(
-            superposition(
-                sys_, {(0, 0): math.cos(theta), (2, 3): math.sin(theta)}
-            )
+        psi = superposition(
+            sys_, {(0, 0): math.cos(theta), (2, 3): math.sin(theta)}
         )
-        worst_c = max(worst_c, abs(l1_coherence(rho) - abs(math.sin(2 * theta))))
+        worst_c = max(worst_c, abs(l1_coherence(psi) - abs(math.sin(2 * theta))))
         worst_n = max(
             worst_n,
-            abs(negativity(rho, sys_, part) - 0.5 * abs(math.sin(2 * theta))),
+            abs(negativity(psi, sys_, part) - 0.5 * abs(math.sin(2 * theta))),
         )
     gap = 1.7
     worst_id = max(
@@ -460,15 +446,13 @@ def criterion_10_passivity():
 def criterion_11_orthogonal_survival_comparison():
     """Record how modified and standard survival differ for theta = pi/2."""
     rng = np.random.default_rng(4321)
-    sys_ = ModeSystem((1.0,), (5,))
     deviations = []
     for _ in range(20):
         levels = np.concatenate([[0.0], np.sort(rng.uniform(0.3, 3.0, 5))])
-        h = Operator(np.diag(levels), hermitian_hint=True)
         amps = np.zeros(6, dtype=complex)
         amps[1:] = rng.normal(size=5) + 1j * rng.normal(size=5)
         psi = Ket(amps)
-        dyn = effective_hamiltonian(h, passive_unitary_for(psi, sys_))
+        dyn = effective_dynamics([(levels, psi)])
         t = np.linspace(0.0, 25.0, 200)
         modified = survival_probability(dyn, psi, t).channels["p_survival"]
         # H is diagonal: the unmodified survival is a pure phase sum
@@ -492,14 +476,16 @@ def criterion_11_orthogonal_survival_comparison():
 
 
 def criterion_12_structural_properties():
-    """Unitarity, tracelessness, frozen ground state, stationarity,
-    and the two generator expansions agreeing, on random instances."""
+    """Unitarity, tracelessness, frozen ground state, stationarity, the two
+    generator expansions agreeing, and the reduced route matching the dense
+    eigendecomposition, on random instances."""
     rng = np.random.default_rng(777)
     worst = {
         "unitarity": 0.0,
         "trace": 0.0,
         "stationary": 0.0,
         "equivalence": 0.0,
+        "reduced": 0.0,
     }
     frozen_ok = True
     for _ in range(100):
@@ -508,26 +494,29 @@ def criterion_12_structural_properties():
         h = Operator(np.diag(levels), hermitian_hint=True)
         sys_ = ModeSystem((1.0,), (dim - 1,))
         psi = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
-        dyn = effective_hamiltonian(h, passive_unitary_for(psi, sys_))
+        h_eff = effective_hamiltonian(h, passive_unitary_for(psi, sys_))
         t = float(rng.uniform(0.1, 8.0))
-        u = propagator(dyn, t).matrix
+        u = propagator(h_eff, t).matrix
         worst["unitarity"] = max(
             worst["unitarity"],
             np.abs(u @ u.conj().T - np.eye(dim)).max(),
         )
-        worst["trace"] = max(
-            worst["trace"], abs(np.trace(dyn.h_eff.matrix)) / dim
-        )
+        worst["trace"] = max(worst["trace"], abs(np.trace(h_eff.matrix)) / dim)
         g = expanded_generator(h, decompose_against_ground(psi))
         worst["equivalence"] = max(
-            worst["equivalence"], np.abs(g.matrix + dyn.h_eff.matrix).max()
+            worst["equivalence"], np.abs(g.matrix + h_eff.matrix).max()
         )
+        grid = np.linspace(0.0, t, 9)
+        reduced = _reduced_states(
+            effective_dynamics([(levels, psi)]), psi.amplitudes, grid
+        )
+        dense = _evolved_states(h_eff.matrix, psi.amplitudes, grid)
+        worst["reduced"] = max(worst["reduced"], np.abs(reduced - dense).max())
         # an excited eigenstate stays put
         k = int(rng.integers(1, dim))
         eig = fock_ket(sys_, (k,))
-        dyn_e = effective_hamiltonian(h, passive_unitary_for(eig, sys_))
         series = evolve_probabilities(
-            dyn_e,
+            effective_dynamics([(levels, eig)]),
             eig,
             {"p": [k]},
             np.linspace(0.0, 10.0, 21),
@@ -537,9 +526,16 @@ def criterion_12_structural_properties():
             worst["stationary"], np.abs(series.channels["p"] - 1.0).max()
         )
         # the ground state does not evolve at all
-        dyn_g = effective_hamiltonian(h, passive_unitary_for(vacuum_ket(sys_), sys_))
-        if np.any(dyn_g.h_eff.matrix) or np.any(
-            propagator(dyn_g, t).matrix != np.eye(dim)
+        vac = vacuum_ket(sys_)
+        h_eff_g = effective_hamiltonian(h, passive_unitary_for(vac, sys_))
+        dyn_g = effective_dynamics([(levels, vac)])
+        if (
+            np.any(h_eff_g.matrix)
+            or np.any(propagator(h_eff_g, t).matrix != np.eye(dim))
+            or np.any(dyn_g.dense())
+            or np.any(
+                _reduced_states(dyn_g, vac.amplitudes, grid) != vac.amplitudes[:, None]
+            )
         ):
             frozen_ok = False
     checks = [
@@ -548,6 +544,7 @@ def criterion_12_structural_properties():
         (frozen_ok, "ground state acquired dynamics"),
         (worst["stationary"] <= 1e-10, f"stationarity {worst['stationary']:.2e}"),
         (worst["equivalence"] <= 1e-10, f"equivalence {worst['equivalence']:.2e}"),
+        (worst["reduced"] <= 1e-12, f"reduced vs dense {worst['reduced']:.2e}"),
     ]
     return _result(
         12,

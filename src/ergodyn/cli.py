@@ -63,7 +63,11 @@ def _run_common(args: argparse.Namespace, force_comparison: bool) -> int:
     except EngineDisagreementError as exc:
         print(f"engine disagreement: {exc}", file=sys.stderr)
         for name, value in exc.residuals.items():
-            print(f"  {name}: {value:.6e}", file=sys.stderr)
+            channel, k, t = exc.peaks[name]
+            print(
+                f"  {name}: {value:.6e} (peak in {channel} at t[{k}] = {t:.17g})",
+                file=sys.stderr,
+            )
         return EXIT_ENGINES
     if args.csv:
         write_series_csv(series, args.csv)

@@ -6,27 +6,48 @@ passive-state rotation of the initial state,
     H_eff = H - U_p^dag H U_p,
 
 and states follow d psi/dt = -i H_eff psi, observables dA/dt = i [H_eff, A]
-(hbar = 1).  Because both H and U_p are time independent, the propagator is
-the plain exponential U(t) = exp(-i H_eff t), computed here from a Hermitian
-eigendecomposition so it stays unitary at machine precision for every t.
+(hbar = 1).  H is diagonal in the Fock basis and U_p differs from the
+identity only on span{g, e} (ground and excited component), so H_eff has
+rank at most three, with range in span{g, e, H e}.  The canonical route
+keeps H as its diagonal energies and U_p as its angle and excited vector,
+per block of modes the rotation factorizes over, and propagates on that
+invariant subspace: an at most 3x3 Hermitian block per factor, so the
+propagator stays unitary at machine precision for every t and no N x N
+array is formed.
 
 Three independent evolution routes are provided and cross-checked by the
 test suite: the exact exponential, classical RK4 stepping of the state, and
-the closed 4x4 dyad-vector system on the ground/excited plane.  A
-first-order Dyson solver covers perturbative scenarios.
+the closed 4x4 dyad-vector system on the ground/excited plane.  The dense
+conjugation H - U_p^dag H U_p with its eigendecomposition is kept as the
+oracle of the exponential route.  A first-order Dyson solver covers
+perturbative scenarios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError, RefinementError
 from .fock import Ket, Operator
+from .passive import decompose_against_ground
 
 #: Hermiticity tolerance on the effective generator
 HERMITICITY_TOL = 1e-12
+
+#: relative bound on the subspace leakage ||H_eff Q - Q A|| and on the
+#: motion ||H_eff (psi - Q Q^dag psi)|| of the part of psi left out of Q
+LEAKAGE_TOL = 1e-12
+
+#: a Gram-Schmidt remainder at or below this (relative to the energy scale)
+#: adds no direction to the invariant subspace.  For an e on one energy
+#: level the remainder is parallel to e and of order eps^2, so it must be
+#: dropped; anything above keeps Q orthonormal to ~1e-16, and a larger
+#: threshold would discard real energy spreads (the gravitational arm
+#: detuning is 6e-15 at L = 100 m)
+RANK_TOL = 1e-15
 
 #: default number of integrator steps per oscillation period
 RK4_STEPS_PER_PERIOD = 2000
@@ -35,49 +56,169 @@ RK4_STEPS_PER_PERIOD = 2000
 RK4_DRIFT_TOL = 1e-6
 
 
-@dataclass(eq=False)
-class EffectiveDynamics:
-    """Generator bundle for one initial state.
+def _projected_block(apply, basis: np.ndarray, scale: float) -> np.ndarray:
+    """A = Q^dag H_eff Q for an orthonormal basis Q of an invariant subspace.
 
-    ``h_eff = H - U_p^dag H U_p``.  The energy scalars are taken against the
-    state recovered from the rotation itself (psi = U_p^dag |ground>):
-    ``ground_energy`` = <0|H|0>, ``excited_energy`` the energy of the excited
-    component, ``energy_gap`` their difference.  ``mixing_sine`` is
-    sin(theta) of the recovered decomposition and feeds the default
-    integrator step.
+    ``apply`` maps columns x to H_eff x.  Raises ValueError when A is not
+    Hermitian or not traceless, or when H_eff moves Q out of its own span.
+    """
+    moved = apply(basis)
+    block = basis.conj().T @ moved
+    dev = np.abs(block - block.conj().T).max()
+    if dev > HERMITICITY_TOL * scale:
+        raise ValueError(f"generator not Hermitian: max deviation {dev:g}")
+    block = (block + block.conj().T) / 2.0
+    leak = np.linalg.norm(moved - basis @ block)
+    if leak > LEAKAGE_TOL * scale:
+        raise ValueError(f"generator leaks out of its invariant subspace: {leak:g}")
+    # conjugation preserves the trace, so the generator is traceless
+    trace = abs(np.trace(block))
+    if trace > 1e-10 * basis.shape[0] * scale:
+        raise ValueError(f"generator trace {trace:g} not zero")
+    return block
+
+
+class _Factor:
+    """H_eff = h - U^dag h U of one block of consecutive modes, at rank <= 3.
+
+    ``h`` is the block's diagonal energies and U the rotation of
+    :func:`passive.build_passive_unitary` for ``state``: U = 1 + D with
+    D = [g, e] Dm [g, e]^dag, Dm = [[c - 1, s], [-s, c - 1]] for
+    c, s = cos(theta), sin(theta).  So H_eff = -(D^dag h + h D + D^dag h D)
+    = B M B^dag with B = [g, e, h e] and M a 3x3 matrix, and it is applied
+    in that form.  ``basis`` is Q, an orthonormal basis of span(B) from
+    Gram-Schmidt, and ``block`` the Hermitian A = Q^dag H_eff Q.
     """
 
-    hamiltonian: Operator
-    passive_unitary: Operator
-    h_eff: Operator
+    def __init__(self, energies, state: Ket):
+        self.energies = np.asarray(energies, dtype=float)
+        dim = self.energies.size
+        if state.dimension != dim:
+            raise ValueError(f"dimension mismatch: H {dim}, state {state.dimension}")
+        dec = decompose_against_ground(state)
+        self.cos, self.sin = c, s = np.cos(dec.theta), np.sin(dec.theta)
+        self.scale = max(np.abs(self.energies).max(), 1.0)
+        g = np.eye(dim, 1, dtype=complex)[:, 0]
+        if dec.excited is None:
+            # U = 1: the generator vanishes and the state is frozen
+            self.excited = None
+            self._b, self._m = g[:, None], np.zeros((1, 1))
+            self.basis = self._b
+        else:
+            e = self.excited = dec.excited.amplitudes
+            h0 = self.energies[0]
+            he = self.energies * e
+            e_exc = float((e.conj() @ he).real)
+            # [g, e] = B pair, [h0 g, h e] = h [g, e] = B scaled, and
+            # [g, e]^dag h [g, e] = diag (g^dag h e = 0 as e[0] = 0)
+            pair = np.eye(3, 2)
+            scaled = np.array([[h0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+            dm = np.array([[c - 1.0, s], [-s, c - 1.0]])
+            diag = np.diag([h0, e_exc])
+            self._b = np.stack([g, e, he], axis=1)
+            self._m = -(
+                pair @ dm.T @ scaled.T + scaled @ dm @ pair.T
+                + pair @ dm.T @ diag @ dm @ pair.T
+            )
+            columns = [g, e]
+            # he is orthogonal to g already; a second pass restores what
+            # cancellation takes from the first
+            rest = he
+            for _ in range(2):
+                rest = rest - e * (e.conj() @ rest)
+            norm = np.linalg.norm(rest)
+            if norm > RANK_TOL * self.scale:
+                columns.append(rest / norm)
+            self.basis = np.stack(columns, axis=1)
+        self.block = _projected_block(self.apply, self.basis, self.scale)
+
+    @property
+    def dimension(self) -> int:
+        return self.energies.size
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """H_eff x for the columns of x (the block runs along axis -2, as in
+        matmul), in O(dimension * columns)."""
+        return self._b @ (self._m @ (self._b.conj().T @ x))
+
+
+@dataclass(frozen=True, eq=False)
+class EffectiveDynamics:
+    """Factored generator bundle for one initial state.
+
+    H_eff is the Kronecker sum of the per-factor generators of ``factors``
+    (one factor per block of consecutive modes, in mode order), and
+    ``energies`` the diagonal of H over the whole register.  The energy
+    scalars are taken against the state recovered from the rotation itself
+    (psi = U_p^dag |ground>): ``ground_energy`` = <0|H|0>,
+    ``excited_energy`` the energy of the excited component, ``energy_gap``
+    their difference.  ``mixing_sine`` is sin(theta) of the recovered
+    decomposition and feeds the default integrator step.
+    """
+
+    factors: tuple
+    energies: np.ndarray
     ground_energy: float
     excited_energy: float
     energy_gap: float
     mixing_sine: float
-    _eig: tuple | None = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
-        return self.h_eff.dimension
+        return self.energies.size
 
-    def eigensystem(self):
-        """Cached Hermitian eigendecomposition of the generator."""
-        if self._eig is None:
-            try:
-                evals, evecs = np.linalg.eigh(self.h_eff.matrix)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                cond = np.linalg.cond(self.h_eff.matrix)
-                raise np.linalg.LinAlgError(
-                    f"eigendecomposition of the generator failed (cond={cond:g})"
-                ) from exc
-            self._eig = (evals, evecs)
-        return self._eig
+    def dense(self) -> np.ndarray:
+        """The N x N generator, the Kronecker sum of the factors' generators
+        (RK4 and the oracles only)."""
+        out = None
+        for f in self.factors:
+            local = f.apply(np.eye(f.dimension))
+            out = local if out is None else (
+                np.kron(out, np.eye(f.dimension)) + np.kron(np.eye(len(out)), local)
+            )
+        return (out + out.conj().T) / 2.0
 
 
-def effective_hamiltonian(
-    hamiltonian: Operator, passive_unitary: Operator
-) -> EffectiveDynamics:
-    """Build H_eff = H - U_p^dag H U_p and its derived scalars."""
+def effective_dynamics(factors) -> EffectiveDynamics:
+    """Factored H_eff from ``(energies, state)`` pairs, one per block of modes.
+
+    ``energies`` is the diagonal of the block's Hamiltonian and ``state``
+    the block state whose passive rotation the generator conjugates by.
+    One pair covering the whole register is the general case; a product
+    rotation, one pair per mode, gives a Kronecker sum.  Costs O(N).
+    """
+    factors = tuple(_Factor(energies, state) for energies, state in factors)
+    energies = np.zeros(1)
+    recovered = np.ones(1, dtype=complex)
+    for f in factors:
+        energies = np.add.outer(energies, f.energies).ravel()
+        local = np.zeros(f.dimension, dtype=complex)
+        if f.excited is not None:
+            local += f.sin * f.excited
+        local[0] = f.cos
+        recovered = np.multiply.outer(recovered, local).ravel()
+    e_ground = float(energies[0])
+    cos_theta = float(np.clip(abs(recovered[0]), 0.0, 1.0))
+    sin_theta = float(np.sqrt(max(1.0 - cos_theta**2, 0.0)))
+    if sin_theta > 1e-12:
+        excited = recovered.copy()
+        excited[0] = 0.0
+        excited = excited / np.linalg.norm(excited)
+        e_excited = float((excited.conj() @ (energies * excited)).real)
+    else:
+        e_excited = e_ground
+    return EffectiveDynamics(
+        factors=factors,
+        energies=energies,
+        ground_energy=e_ground,
+        excited_energy=e_excited,
+        energy_gap=e_excited - e_ground,
+        mixing_sine=sin_theta,
+    )
+
+
+def effective_hamiltonian(hamiltonian: Operator, passive_unitary: Operator) -> Operator:
+    """Dense H_eff = H - U_p^dag H U_p (oracle of the factored generator)."""
     h = hamiltonian.matrix
     u = passive_unitary.matrix
     if h.shape != u.shape:
@@ -93,28 +234,7 @@ def effective_hamiltonian(
     trace = abs(np.trace(h_eff))
     if trace > 1e-10 * dim * scale:
         raise ValueError(f"generator trace {trace:g} not zero")
-
-    ground = np.zeros(dim, dtype=complex)
-    ground[0] = 1.0
-    e_ground = float((ground.conj() @ h @ ground).real)
-    psi = u.conj().T @ ground  # the state the rotation maps onto the ground
-    cos_theta = float(np.clip(abs(psi[0]), 0.0, 1.0))
-    sin_theta = float(np.sqrt(max(1.0 - cos_theta**2, 0.0)))
-    if sin_theta > 1e-12:
-        excited = psi - psi[0] * ground
-        excited = excited / np.linalg.norm(excited)
-        e_excited = float((excited.conj() @ h @ excited).real)
-    else:
-        e_excited = e_ground
-    return EffectiveDynamics(
-        hamiltonian=hamiltonian,
-        passive_unitary=passive_unitary,
-        h_eff=Operator(h_eff, hermitian_hint=True),
-        ground_energy=e_ground,
-        excited_energy=e_excited,
-        energy_gap=e_excited - e_ground,
-        mixing_sine=sin_theta,
-    )
+    return Operator(h_eff, hermitian_hint=True)
 
 
 def expanded_generator(hamiltonian: Operator, dec) -> Operator:
@@ -203,23 +323,57 @@ def block_probabilities(gen: SubspaceGenerator, theta: float, t_grid):
     return p_ground, p_excited
 
 
-def propagator(dyn: EffectiveDynamics, t: float) -> Operator:
-    """U(t) = exp(-i H_eff t) via the cached eigendecomposition."""
+def propagator(h_eff: Operator, t: float) -> Operator:
+    """U(t) = exp(-i H_eff t) of a dense generator, via its eigendecomposition."""
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
-    if not np.any(dyn.h_eff.matrix):
-        return Operator(np.eye(dyn.dimension), hermitian_hint=False)
-    evals, evecs = dyn.eigensystem()
+    if not np.any(h_eff.matrix):
+        return Operator(np.eye(h_eff.dimension), hermitian_hint=False)
+    evals, evecs = np.linalg.eigh(h_eff.matrix)
     u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
     return Operator(u, hermitian_hint=False)
 
 
 def _evolved_states(generator_matrix: np.ndarray, psi0: np.ndarray, t_grid):
-    """Columns psi(t) for all grid times from one Hermitian eigendecomposition."""
+    """Columns psi(t) of a dense generator from one Hermitian eigendecomposition
+    (oracle of :func:`_reduced_states`)."""
     evals, evecs = np.linalg.eigh(generator_matrix)
     modes = evecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(evals, np.asarray(t_grid, dtype=float)))
     return evecs @ (phases * modes[:, None])
+
+
+def _reduced_states(dyn: EffectiveDynamics, psi0: np.ndarray, t_grid) -> np.ndarray:
+    """Columns psi(t) for all grid times, propagated factor by factor.
+
+    Along the modes of each factor, psi(t) = Q V exp(-i L t) V^dag Q^dag psi
+    + (psi - Q Q^dag psi), with V, L the eigenvectors and eigenvalues of
+    the factor's block; the part left out of Q must be frozen, which one
+    application of H_eff checks (ValueError otherwise).  O(N T) per factor.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    dims = [f.dimension for f in dyn.factors]
+    states = np.repeat(psi0[:, None], t.size, axis=1)
+    for i, f in enumerate(dyn.factors):
+        q = f.basis
+        left = math.prod(dims[:i])
+        # axis 1 runs over this factor's block; axis 0 over the modes before it
+        start = psi0.reshape(left, dims[i], -1)
+        rest = start - q @ (q.conj().T @ start)
+        moved = np.linalg.norm(f.apply(rest))
+        if moved > LEAKAGE_TOL * f.scale:
+            raise ValueError(
+                f"state part outside the invariant subspace moves: {moved:g}"
+            )
+        evals, evecs = np.linalg.eigh(f.block)
+        # in the eigenbasis P = Q V of the block the flow is diagonal:
+        # psi <- psi + P (exp(-i L t) - 1) P^dag psi
+        p = q @ evecs
+        view = states.reshape(left, dims[i], -1)
+        coeffs = (p.conj().T @ view).reshape(left, p.shape[1], -1, t.size)
+        coeffs *= np.expm1(-1j * np.outer(evals, t))[:, None, :]
+        view += p @ coeffs.reshape(left, p.shape[1], -1)
+    return states
 
 
 def read_channels(states: np.ndarray, channels: dict, occupations=None) -> dict:
@@ -244,7 +398,7 @@ def default_rk4_step(dyn: EffectiveDynamics, omega_max: float = 0.0) -> float:
     omega_osc = max(abs(dyn.mixing_sine * dyn.energy_gap), float(omega_max))
     if omega_osc <= 0.0:
         # static generator: any step works; normalize on the generator norm
-        scale = np.abs(dyn.h_eff.matrix).max()
+        scale = np.abs(dyn.dense()).max()
         omega_osc = scale if scale > 0 else 1.0
     return (2.0 * np.pi / omega_osc) / RK4_STEPS_PER_PERIOD
 
@@ -295,7 +449,7 @@ def rk4_expectation_series(
     t, dt = _rk4_grid(t_grid)
     substeps = _rk4_substeps(dyn, dt, substeps, omega_max)
     h = dt / substeps
-    x = -1j * h * dyn.h_eff.matrix
+    x = -1j * h * dyn.dense()
     eye = np.eye(dyn.dimension)
     step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
     power = np.linalg.matrix_power(step, substeps)
@@ -374,12 +528,12 @@ def evolve_probabilities(
 ) -> TimeSeries:
     """Channel series of U(t)|psi0> on the grid, read by :func:`read_channels`.
 
-    Uses the exponential propagator route.  When ``partition`` is true the
+    Uses the exponential route on the reduced blocks.  When ``partition`` is true the
     channels are declared a probability partition (they must sum to one on
     the grid).  ``n_expect`` is added when the per-index ``occupations``
     are given.
     """
-    states = _evolved_states(dyn.h_eff.matrix, psi0.amplitudes, t_grid)
+    states = _reduced_states(dyn, psi0.amplitudes, t_grid)
     names = list(channels)
     return TimeSeries(
         t_grid,
@@ -391,7 +545,7 @@ def evolve_probabilities(
 
 def survival_probability(dyn: EffectiveDynamics, psi0: Ket, t_grid) -> TimeSeries:
     """|<psi(0)|U(t)|psi(0)>|^2 on the grid, as channel ``p_survival``."""
-    states = _evolved_states(dyn.h_eff.matrix, psi0.amplitudes, t_grid)
+    states = _reduced_states(dyn, psi0.amplitudes, t_grid)
     amp = psi0.amplitudes.conj() @ states
     return TimeSeries(
         t_grid,

@@ -21,11 +21,11 @@ def _fmt(value: float) -> str:
 
 def format_series_csv(series: TimeSeries) -> str:
     names = series.column_names()
-    lines = [",".join(["t"] + names)]
-    columns = [series.channels[name] for name in names]
-    for k, t in enumerate(series.times):
-        row = [_fmt(t)] + [_fmt(col[k]) for col in columns]
-        lines.append(",".join(row))
+    table = np.column_stack([series.times] + [series.channels[n] for n in names])
+    # one %-format per row ("%.17g" prints a float exactly as _fmt does);
+    # converting row by row keeps one row of Python floats alive, not all
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(["t"] + names)] + [row % tuple(r.tolist()) for r in table]
     return "\n".join(lines) + "\n"
 
 

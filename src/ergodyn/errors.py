@@ -31,8 +31,13 @@ class ConfigError(ErgodynError):
 
 
 class EngineDisagreementError(ErgodynError):
-    """Independent evolution engines disagree beyond tolerance."""
+    """Independent evolution engines disagree beyond tolerance.
 
-    def __init__(self, message, residuals=None):
+    ``residuals`` maps an engine pair to its largest residual, ``peaks``
+    the same pair to (channel, time index, time) where that residual peaks.
+    """
+
+    def __init__(self, message, residuals=None, peaks=None):
         self.residuals = dict(residuals or {})
+        self.peaks = dict(peaks or {})
         super().__init__(message)

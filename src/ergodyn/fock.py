@@ -213,11 +213,14 @@ def occupation_counts(system: ModeSystem) -> np.ndarray:
     return _occupation_sum(system, (1.0,) * system.modes)
 
 
+def free_energies(system: ModeSystem) -> np.ndarray:
+    """Energy sum_i n_i omega_i of every basis vector, in flat-index order."""
+    return _occupation_sum(system, system.omega)
+
+
 def free_hamiltonian(system: ModeSystem) -> Operator:
     """Diagonal free Hamiltonian: |n_1...n_k> has energy sum_i n_i omega_i."""
-    return Operator(
-        np.diag(_occupation_sum(system, system.omega)), hermitian_hint=True
-    )
+    return Operator(np.diag(free_energies(system)), hermitian_hint=True)
 
 
 def number_operator(system: ModeSystem) -> Operator:
@@ -241,8 +244,3 @@ def tensor(a: Operator, b: Operator) -> Operator:
         np.kron(a.matrix, b.matrix),
         hermitian_hint=a.hermitian_hint and b.hermitian_hint,
     )
-
-
-def pure_density(ket: Ket) -> DensityOperator:
-    v = ket.amplitudes
-    return DensityOperator(np.outer(v, v.conj()))

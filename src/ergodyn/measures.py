@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, ModeSystem
+from .fock import Ket, ModeSystem
 
 
 @dataclass(frozen=True)
@@ -33,37 +34,31 @@ class BipartitionSpec:
             )
 
 
-def l1_coherence(rho: DensityOperator) -> float:
-    """Sum of the absolute off-diagonal entries of the density matrix."""
-    mat = np.abs(rho.matrix)
-    return float(mat.sum() - np.trace(mat))
+def l1_coherence(psi: Ket) -> float:
+    """Sum of the absolute off-diagonal entries of |psi><psi|.
+
+    For a pure state that is (sum_k |a_k|)^2 - 1, read from the amplitudes.
+    """
+    return float(np.abs(psi.amplitudes).sum() ** 2 - 1.0)
 
 
-def partial_transpose(
-    rho: DensityOperator, system: ModeSystem, part: BipartitionSpec
-) -> np.ndarray:
-    """Transpose the second subsystem's indices of the density matrix."""
+def negativity(psi: Ket, system: ModeSystem, part: BipartitionSpec) -> float:
+    """Entanglement negativity of the pure state |psi> across ``part``.
+
+    With sigma_i the singular values of the amplitudes reshaped to the
+    bipartition (the Schmidt coefficients), the negative eigenvalues of the
+    partial transpose sum to -((sum_i sigma_i)^2 - 1) / 2 (Vidal and
+    Werner, PRA 65, 032314, 2002).
+    """
     part.validate_for(system)
-    if rho.dimension != system.dimension:
+    if psi.dimension != system.dimension:
         raise ValueError(
-            f"state dimension {rho.dimension} does not match system "
+            f"state dimension {psi.dimension} does not match system "
             f"{system.dimension}"
         )
     dims = [c + 1 for c in system.cutoff]
-    k = system.modes
-    tensor = rho.matrix.reshape(dims + dims)
-    axes = list(range(2 * k))
-    for mode in part.subsystem_b:
-        axes[mode], axes[k + mode] = axes[k + mode], axes[mode]
-    return tensor.transpose(axes).reshape(rho.matrix.shape)
-
-
-def negativity(
-    rho: DensityOperator, system: ModeSystem, part: BipartitionSpec
-) -> float:
-    """Entanglement negativity: |sum of negative eigenvalues| of the partial
-    transpose.  The partial transpose of a Hermitian matrix is Hermitian, so
-    the spectrum comes from the symmetric eigensolver."""
-    pt = partial_transpose(rho, system, part)
-    evals = np.linalg.eigvalsh(pt)
-    return float(-evals[evals < 0.0].sum())
+    rows = math.prod(dims[m] for m in part.subsystem_a)
+    amps = psi.amplitudes.reshape(dims).transpose(part.subsystem_a + part.subsystem_b)
+    sigma = np.linalg.svd(amps.reshape(rows, -1), compute_uv=False)
+    # a product state has sigma = (1, 0, ...); rounding must not turn it negative
+    return max(float((sigma.sum() ** 2 - 1.0) / 2.0), 0.0)

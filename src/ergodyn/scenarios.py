@@ -21,8 +21,7 @@ from . import closed_forms as cf
 from .dynamics import (
     EffectiveDynamics,
     TimeSeries,
-    _evolved_states,
-    effective_hamiltonian,
+    effective_dynamics,
     evolve_probabilities,
     read_channels,
     rk4_expectation_series,
@@ -32,17 +31,13 @@ from .errors import ConfigError, EngineDisagreementError, RefinementError
 from .fock import (
     Ket,
     ModeSystem,
-    Operator,
     flat_index,
-    free_hamiltonian,
+    free_energies,
     occupation_counts,
     occupations_of,
-    pure_density,
     superposition,
-    tensor,
 )
 from .measures import BipartitionSpec, l1_coherence, negativity
-from .passive import passive_unitary_for
 
 ENGINES = ("analytic", "exponential", "rk4", "all")
 
@@ -52,6 +47,10 @@ TOL_ANALYTIC = 1e-9
 TOL_RK4 = 1e-7
 #: frozen scale for the perturbative closed-form residual, tol = coeff * eps^2
 PERT_RESIDUAL_COEFF = 8.0
+
+#: most time samples per run: np.linspace rounding alone breaks the 1e-9
+#: uniformity check of TimeSeries near 1e7 samples (1.3e-10 at 1e6)
+MAX_STEPS = 1_000_000
 
 SCENARIO_NAMES = (
     "single-mode-superposition",
@@ -128,6 +127,10 @@ class ScenarioConfig:
             )
         if self.steps < 2:
             raise ConfigError("steps", f"need at least 2 samples, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ConfigError(
+                "steps", f"at most {MAX_STEPS} samples, got {self.steps}"
+            )
         if self.t_max is not None and self.t_max <= 0:
             raise ConfigError("t_max", f"must be positive, got {self.t_max}")
         return self
@@ -221,7 +224,6 @@ class _Prepared:
     """Everything run_scenario needs after config resolution."""
 
     system: ModeSystem
-    hamiltonian: Operator
     psi0: Ket
     dyn: EffectiveDynamics
     channels: dict  # name -> flat Fock indices whose populations it sums
@@ -258,11 +260,11 @@ def _fock_channels(system: ModeSystem, occupations) -> dict:
     return {_occ_label(occ): [flat_index(system, occ)] for occ in occupations}
 
 
-def _ground_offset_hamiltonian(system: ModeSystem, e0: float) -> Operator:
-    """Free Hamiltonian with the ground level shifted to energy e0."""
-    h = free_hamiltonian(system).matrix.copy()
-    h[0, 0] += e0
-    return Operator(h, hermitian_hint=True)
+def _ground_offset_energies(system: ModeSystem, e0: float) -> np.ndarray:
+    """Free energies with the ground level shifted to energy e0."""
+    h = free_energies(system)
+    h[0] += e0
+    return h
 
 
 def _single_mode(cfg: ScenarioConfig, eigenstate: bool) -> _Prepared:
@@ -280,8 +282,7 @@ def _single_mode(cfg: ScenarioConfig, eigenstate: bool) -> _Prepared:
         raise ConfigError("cutoffs", f"cutoff {cutoff} cannot hold occupation {n}")
     system = ModeSystem((omega,), (cutoff,))
     psi = superposition(system, {(0,): math.cos(theta), (n,): math.sin(theta)})
-    hamiltonian = _ground_offset_hamiltonian(system, cfg.E0)
-    dyn = effective_hamiltonian(hamiltonian, passive_unitary_for(psi, system))
+    dyn = effective_dynamics([(_ground_offset_energies(system, cfg.E0), psi)])
     gap = n * omega - cfg.E0
     omega_osc = cf.oscillation_frequency(theta, gap)
     channels = _fock_channels(system, [(0,), (n,)])
@@ -298,7 +299,6 @@ def _single_mode(cfg: ScenarioConfig, eigenstate: bool) -> _Prepared:
     t_default = 4 * math.pi / omega_osc if omega_osc > 0 else 10.0
     return _Prepared(
         system=system,
-        hamiltonian=hamiltonian,
         psi0=psi,
         dyn=dyn,
         channels=channels,
@@ -325,16 +325,14 @@ def _product_modes(cfg: ScenarioConfig, ns, omegas) -> _Prepared:
         if c < n:
             raise ConfigError("cutoffs", f"cutoff {c} cannot hold occupation {n}")
     system = ModeSystem(tuple(omegas), tuple(cutoffs))
-    hamiltonian = free_hamiltonian(system)
 
     # per-mode balanced superpositions and a product rotation
     root = 1.0 / math.sqrt(2.0)
-    u_p = None
+    factors = []
     for n, w, c in zip(ns, omegas, cutoffs):
         sub = ModeSystem((w,), (c,))
         psi_mode = superposition(sub, {(0,): root, (n,): root})
-        u_mode = passive_unitary_for(psi_mode, sub)
-        u_p = u_mode if u_p is None else tensor(u_p, u_mode)
+        factors.append((free_energies(sub), psi_mode))
 
     # uniform amplitude (1/sqrt(2))^k on every excitation-pattern corner
     corners = [
@@ -343,7 +341,7 @@ def _product_modes(cfg: ScenarioConfig, ns, omegas) -> _Prepared:
     ]
     psi = superposition(system, {occ: root ** len(ns) for occ in corners})
 
-    dyn = effective_hamiltonian(hamiltonian, u_p)
+    dyn = effective_dynamics(factors)
     channels = _fock_channels(system, corners)
 
     def closed(t):
@@ -378,7 +376,6 @@ def _product_modes(cfg: ScenarioConfig, ns, omegas) -> _Prepared:
         )
     return _Prepared(
         system=system,
-        hamiltonian=hamiltonian,
         psi0=psi,
         dyn=dyn,
         channels=channels,
@@ -413,8 +410,7 @@ def _entangled_pair(cfg: ScenarioConfig) -> _Prepared:
     system = ModeSystem((omega_a, omega_b), tuple(cutoffs))
     root = 1.0 / math.sqrt(2.0)
     psi = superposition(system, {(0, 0): root, (n, m): root})
-    hamiltonian = free_hamiltonian(system)
-    dyn = effective_hamiltonian(hamiltonian, passive_unitary_for(psi, system))
+    dyn = effective_dynamics([(free_energies(system), psi)])
     gap = n * omega_a + m * omega_b
     channels = _fock_channels(system, [(0, 0), (n, m)])
 
@@ -430,7 +426,6 @@ def _entangled_pair(cfg: ScenarioConfig) -> _Prepared:
     omega_osc = cf.oscillation_frequency(math.pi / 4, gap)
     return _Prepared(
         system=system,
-        hamiltonian=hamiltonian,
         psi0=psi,
         dyn=dyn,
         channels=channels,
@@ -470,6 +465,7 @@ def _moon(cfg: ScenarioConfig, flavor: str) -> _Prepared:
         )
         eps = -scenario.relative_shift
         omega_b = omega_a * (1.0 + eps)
+        omega_b_key = "r_S"
     elif flavor == "perturbative":
         n_occ = _require(cfg.N, 2)
         m_occ = _require(cfg.M, n_occ)
@@ -482,9 +478,11 @@ def _moon(cfg: ScenarioConfig, flavor: str) -> _Prepared:
         if cfg.omega_b is not None:
             omega_b = cfg.omega_b
             eps = (omega_b - omega_a) / omega_a
+            omega_b_key = "omega_b"
         else:
             eps = _require(cfg.eps, 1e-3)
             omega_b = omega_a * (1.0 + eps)
+            omega_b_key = "eps"
         scenario = None
     else:  # degenerate
         m_occ = _require(cfg.M, 2)
@@ -501,10 +499,15 @@ def _moon(cfg: ScenarioConfig, flavor: str) -> _Prepared:
             )
         eps = 0.0
         scenario = None
+        omega_b_key = "omega_b"
     if m_occ < 1 or n_occ < 1:
         raise ConfigError("N", "occupations must be >= 1")
-    if omega_a <= 0 or omega_b <= 0:
-        raise ConfigError("omega_a", "frequencies must be positive")
+    if omega_a <= 0:
+        raise ConfigError("omega_a", f"frequency must be positive, got {omega_a}")
+    if omega_b <= 0:
+        raise ConfigError(
+            omega_b_key, f"arm frequency omega_b = {omega_b:g} must be positive"
+        )
     phi = _angle(phi, "phi")
 
     cutoffs = cfg.cutoffs if cfg.cutoffs else (m_occ, n_occ)
@@ -516,8 +519,7 @@ def _moon(cfg: ScenarioConfig, flavor: str) -> _Prepared:
     psi = superposition(
         system, {(m_occ, 0): math.cos(phi), (0, n_occ): math.sin(phi)}
     )
-    hamiltonian = free_hamiltonian(system)
-    dyn = effective_hamiltonian(hamiltonian, passive_unitary_for(psi, system))
+    dyn = effective_dynamics([(free_energies(system), psi)])
     first = (m_occ, 0)
     second = (0, n_occ)
     channels = _fock_channels(system, [(0, 0), first, second])
@@ -575,7 +577,6 @@ def _moon(cfg: ScenarioConfig, flavor: str) -> _Prepared:
 
     return _Prepared(
         system=system,
-        hamiltonian=hamiltonian,
         psi0=psi,
         dyn=dyn,
         channels=channels,
@@ -616,8 +617,7 @@ def _custom_state(cfg: ScenarioConfig) -> _Prepared:
         psi = Ket(cfg.amplitudes)
     except ValueError as exc:  # all amplitudes zero
         raise ConfigError("amplitudes", str(exc)) from None
-    hamiltonian = _ground_offset_hamiltonian(system, cfg.E0)
-    dyn = effective_hamiltonian(hamiltonian, passive_unitary_for(psi, system))
+    dyn = effective_dynamics([(_ground_offset_energies(system, cfg.E0), psi)])
 
     # the vacuum and every basis vector the state occupies; the rest of the
     # basis, if any, is read as one channel p_other
@@ -631,7 +631,6 @@ def _custom_state(cfg: ScenarioConfig) -> _Prepared:
     part_b = tuple(range(1, system.modes)) if system.modes > 1 else ()
     return _Prepared(
         system=system,
-        hamiltonian=hamiltonian,
         psi0=psi,
         dyn=dyn,
         channels=channels,
@@ -694,10 +693,14 @@ def _exponential_channels(prep: _Prepared, t_grid, occupations) -> dict:
 
 
 def _standard_channels(prep: _Prepared, t_grid, occupations) -> dict:
-    """Same channels under the unmodified propagator exp(-i H t)."""
-    states = _evolved_states(prep.hamiltonian.matrix, prep.psi0.amplitudes, t_grid)
+    """Same channels under the unmodified propagator exp(-i H t).
+
+    H is diagonal in the Fock basis, so each amplitude only turns its phase.
+    """
+    amps = prep.psi0.amplitudes
+    states = amps[:, None] * np.exp(-1j * np.outer(prep.dyn.energies, t_grid))
     out = read_channels(states, prep.channels, occupations)
-    out["p_survival"] = np.abs(prep.psi0.amplitudes.conj() @ states) ** 2
+    out["p_survival"] = np.abs(amps.conj() @ states) ** 2
     return {"std_" + name: values for name, values in out.items()}
 
 
@@ -747,17 +750,12 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
     else:
         primary = exponential
 
-    residuals = {}
+    peaks = {}
     if analytic is not None and exponential is not None:
-        residuals["analytic_vs_exponential"] = max(
-            float(np.abs(analytic[k] - exponential[k]).max())
-            for k in exponential
-            if k in analytic
-        )
+        peaks["analytic_vs_exponential"] = _peak_residual(analytic, exponential)
     if rk4 is not None and exponential is not None:
-        residuals["exponential_vs_rk4"] = max(
-            float(np.abs(rk4[k] - exponential[k]).max()) for k in rk4
-        )
+        peaks["exponential_vs_rk4"] = _peak_residual(rk4, exponential)
+    residuals = {pair: value for pair, (value, _, _) in peaks.items()}
     max_residual = max(residuals.values(), default=0.0)
 
     prob_names = list(prep.channels)
@@ -793,8 +791,7 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
             "shorten t_max or choose engine exponential"
         ) from None
 
-    rho = pure_density(prep.psi0)
-    coherence = l1_coherence(rho)
+    coherence = l1_coherence(prep.psi0)
     neg = None
     if prep.system.modes >= 2:
         part = BipartitionSpec(
@@ -804,7 +801,7 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
             ),
             subsystem_b=prep.partition_b_modes or (prep.system.modes - 1,),
         )
-        neg = negativity(rho, prep.system, part)
+        neg = negativity(prep.psi0, prep.system, part)
 
     summary = {
         "scenario": cfg.scenario,
@@ -836,13 +833,34 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
     )
     summary["engines_agree"] = bool(agree)
     if strict and not agree:
+        where = {
+            pair: (channel, k, float(t_grid[k]))
+            for pair, (_, channel, k) in peaks.items()
+        }
         raise EngineDisagreementError(
             "evolution engines disagree: "
-            + ", ".join(f"{k}={v:.3e}" for k, v in residuals.items())
+            + ", ".join(
+                f"{pair}={residuals[pair]:.3e} (peak in {channel} at t[{k}]={t:g})"
+                for pair, (channel, k, t) in where.items()
+            )
             + f" (tolerances: analytic {prep.analytic_tol:.3e}, rk4 {TOL_RK4:.3e})",
             residuals=residuals,
+            peaks=where,
         )
     return series, summary
+
+
+def _peak_residual(a: dict, b: dict) -> tuple[float, str, int]:
+    """max |a - b| over the channels both engines give, with the channel and
+    the time index where it peaks."""
+    peak = (-1.0, "", 0)
+    for name in a:
+        if name in b:
+            diff = np.abs(a[name] - b[name])
+            k = int(np.argmax(diff))
+            if diff[k] > peak[0]:
+                peak = (float(diff[k]), name, k)
+    return peak
 
 
 def _config_echo(cfg: ScenarioConfig) -> dict:

@@ -12,12 +12,14 @@ from ergodyn import (
     Operator,
     block_probabilities,
     decompose_against_ground,
+    effective_dynamics,
     effective_hamiltonian,
     evolve_probabilities,
     expanded_generator,
     first_order_dyson,
     flat_index,
     fock_ket,
+    free_energies,
     free_hamiltonian,
     identity_operator,
     occupation_counts,
@@ -33,18 +35,31 @@ from ergodyn import (
     two_level_survival,
     vacuum_ket,
 )
-from ergodyn.dynamics import TimeSeries, _evolved_states, read_channels
+from ergodyn.dynamics import (
+    LEAKAGE_TOL,
+    TimeSeries,
+    _evolved_states,
+    _projected_block,
+    read_channels,
+)
 from ergodyn.scenarios import TOL_RK4, _prepare, load_config, run_scenario
+
+
+def whole_register(sys_, psi):
+    """Factored generator of one rotation over the whole register."""
+    return effective_dynamics([(free_energies(sys_), psi)])
+
+
+def dense_generator(sys_, psi):
+    """Dense oracle H - U_p^dag H U_p of the same rotation."""
+    return effective_hamiltonian(free_hamiltonian(sys_), passive_unitary_for(psi, sys_))
 
 
 def two_level_setup(theta, gap, cutoff=1):
     """One mode at frequency = gap, state cos|0> + sin|cutoff-level n=1...>."""
     sys_ = ModeSystem((gap,), (cutoff,))
     psi = superposition(sys_, {(0,): np.cos(theta), (1,): np.sin(theta)})
-    dyn = effective_hamiltonian(
-        free_hamiltonian(sys_), passive_unitary_for(psi, sys_)
-    )
-    return sys_, psi, dyn
+    return sys_, psi, whole_register(sys_, psi)
 
 
 def random_eigen_system(rng, dim):
@@ -60,13 +75,17 @@ def random_eigen_system(rng, dim):
 
 def test_ground_state_gives_zero_generator():
     sys_ = ModeSystem((1.0,), (3,))
-    dyn = effective_hamiltonian(
-        free_hamiltonian(sys_), passive_unitary_for(vacuum_ket(sys_), sys_)
-    )
-    np.testing.assert_array_equal(dyn.h_eff.matrix, 0.0)
+    psi = vacuum_ket(sys_)
+    h_eff = dense_generator(sys_, psi)
+    np.testing.assert_array_equal(h_eff.matrix, 0.0)
+    np.testing.assert_array_equal(whole_register(sys_, psi).dense(), 0.0)
     # frozen ground state: the propagator is exactly the identity
     for t in (0.0, 1.7, 100.0):
-        np.testing.assert_array_equal(propagator(dyn, t).matrix, np.eye(4))
+        np.testing.assert_array_equal(propagator(h_eff, t).matrix, np.eye(4))
+    series = evolve_probabilities(
+        whole_register(sys_, psi), psi, {"p0": [0]}, np.linspace(0.0, 100.0, 7)
+    )
+    np.testing.assert_array_equal(series.channels["p0"], 1.0)
 
 
 def test_two_level_block_matches_direct_product():
@@ -74,24 +93,20 @@ def test_two_level_block_matches_direct_product():
     sys_, psi, dyn = two_level_setup(theta, gap)
     c, s = np.cos(theta), np.sin(theta)
     expected_block = s * gap * np.array([[-s, c], [c, s]])
-    np.testing.assert_allclose(dyn.h_eff.matrix.real, expected_block, atol=1e-12)
+    np.testing.assert_allclose(dyn.dense().real, expected_block, atol=1e-12)
     # independent route: build U_p H U_p^dag by hand
     u = passive_unitary_for(psi, sys_).matrix
     h = free_hamiltonian(sys_).matrix
-    np.testing.assert_allclose(
-        dyn.h_eff.matrix, h - u.conj().T @ h @ u, atol=1e-14
-    )
+    np.testing.assert_allclose(dyn.dense(), h - u.conj().T @ h @ u, atol=1e-14)
 
 
 def test_generator_block_structure_in_full_space():
     sys_ = ModeSystem((1.0,), (4,))
     psi = superposition(sys_, {(0,): 1.0, (3,): 1.0})
-    dyn = effective_hamiltonian(
-        free_hamiltonian(sys_), passive_unitary_for(psi, sys_)
-    )
     mask = np.ones((5, 5), dtype=bool)
     mask[np.ix_([0, 3], [0, 3])] = False
-    assert np.abs(dyn.h_eff.matrix[mask]).max() < 1e-12
+    assert np.abs(whole_register(sys_, psi).dense()[mask]).max() < 1e-12
+    assert np.abs(dense_generator(sys_, psi).matrix[mask]).max() < 1e-12
 
 
 def test_generator_scalars_and_trace():
@@ -101,13 +116,13 @@ def test_generator_scalars_and_trace():
     assert dyn.excited_energy == pytest.approx(gap, abs=1e-12)
     assert dyn.energy_gap == pytest.approx(gap, abs=1e-12)
     assert dyn.mixing_sine == pytest.approx(np.sin(theta), abs=1e-12)
-    assert abs(np.trace(dyn.h_eff.matrix)) < 1e-12
+    assert abs(np.trace(dyn.dense())) < 1e-12
 
 
 def test_two_level_spectrum():
     theta, gap = 0.7, 1.3
     _, _, dyn = two_level_setup(theta, gap)
-    eigs = np.linalg.eigvalsh(dyn.h_eff.matrix)
+    eigs = np.linalg.eigvalsh(dyn.dense())
     np.testing.assert_allclose(
         eigs, [-np.sin(theta) * gap, np.sin(theta) * gap], atol=1e-12
     )
@@ -118,6 +133,8 @@ def test_dimension_mismatch_rejected():
         effective_hamiltonian(
             Operator(np.diag([0.0, 1.0]), hermitian_hint=True), identity_operator(3)
         )
+    with pytest.raises(ValueError):
+        effective_dynamics([(np.array([0.0, 1.0]), Ket([1.0, 1.0, 0.0]))])
 
 
 # ------------------------------------------------------------- expanded form
@@ -127,7 +144,7 @@ def test_expanded_generator_eigenstate_reduces_to_two_level():
     theta, gap = 0.52, 1.7
     sys_, psi, dyn = two_level_setup(theta, gap)
     g = expanded_generator(free_hamiltonian(sys_), decompose_against_ground(psi))
-    np.testing.assert_allclose(g.matrix, -dyn.h_eff.matrix, atol=1e-12)
+    np.testing.assert_allclose(g.matrix, -dyn.dense(), atol=1e-12)
     c, s = np.cos(theta), np.sin(theta)
     expected = s * gap * np.array([[s, -c], [-c, -s]])
     np.testing.assert_allclose(g.matrix.real, expected, atol=1e-12)
@@ -144,8 +161,10 @@ def test_expanded_generator_equals_conjugation_difference():
         u = passive_unitary_for(psi, sys_).matrix
         oracle = u.conj().T @ h.matrix @ u - h.matrix
         np.testing.assert_allclose(g.matrix, oracle, atol=1e-10)
-        dyn = effective_hamiltonian(h, Operator(u))
-        np.testing.assert_allclose(g.matrix, -dyn.h_eff.matrix, atol=1e-10)
+        h_eff = effective_hamiltonian(h, Operator(u))
+        np.testing.assert_allclose(g.matrix, -h_eff.matrix, atol=1e-10)
+        dyn = effective_dynamics([(np.diag(h.matrix).real, psi)])
+        np.testing.assert_allclose(g.matrix, -dyn.dense(), atol=1e-10)
 
 
 def test_expanded_generator_zero_at_theta_zero():
@@ -196,8 +215,10 @@ def test_block_route_matches_propagator_route():
 
 
 def test_propagator_time_zero_is_identity():
-    _, _, dyn = two_level_setup(0.8, 1.0)
-    np.testing.assert_allclose(propagator(dyn, 0.0).matrix, np.eye(2), atol=1e-15)
+    sys_, psi, _ = two_level_setup(0.8, 1.0)
+    np.testing.assert_allclose(
+        propagator(dense_generator(sys_, psi), 0.0).matrix, np.eye(2), atol=1e-15
+    )
 
 
 def test_propagator_unitary_and_matches_expm():
@@ -206,11 +227,11 @@ def test_propagator_unitary_and_matches_expm():
         dim = int(rng.integers(2, 8))
         h, psi = random_eigen_system(rng, dim)
         sys_ = ModeSystem((1.0,), (dim - 1,))
-        dyn = effective_hamiltonian(h, passive_unitary_for(psi, sys_))
+        h_eff = effective_hamiltonian(h, passive_unitary_for(psi, sys_))
         t = float(rng.uniform(0.0, 10.0))
-        u = propagator(dyn, t).matrix
+        u = propagator(h_eff, t).matrix
         np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-11)
-        np.testing.assert_allclose(u, expm(-1j * dyn.h_eff.matrix * t), atol=1e-10)
+        np.testing.assert_allclose(u, expm(-1j * h_eff.matrix * t), atol=1e-10)
 
 
 def test_propagator_two_level_probability_closed_form():
@@ -263,9 +284,7 @@ def test_rk4_static_generator_keeps_operator():
     # channel keeps its initial value bit for bit
     sys_ = ModeSystem((1.0,), (2,))
     psi = vacuum_ket(sys_)
-    dyn = effective_hamiltonian(
-        free_hamiltonian(sys_), passive_unitary_for(psi, sys_)
-    )
+    dyn = whole_register(sys_, psi)
     t = np.linspace(0.0, 5.0, 11)
     got = rk4_expectation_series(
         dyn, psi, {"p_0": [0], "p_other": [1, 2]}, t,
@@ -362,9 +381,9 @@ def test_rk4_matches_exponential_on_random_custom_states(cutoffs, data):
 
 
 def test_propagator_rejects_nonfinite_time():
-    _, _, dyn = two_level_setup(0.3, 1.0)
+    sys_, psi, _ = two_level_setup(0.3, 1.0)
     with pytest.raises(ValueError):
-        propagator(dyn, np.inf)
+        propagator(dense_generator(sys_, psi), np.inf)
 
 
 # ------------------------------------------------------------- expectations
@@ -373,9 +392,7 @@ def test_propagator_rejects_nonfinite_time():
 def test_evolution_initial_values_are_overlaps():
     sys_ = ModeSystem((1.0,), (4,))
     psi = superposition(sys_, {(0,): 0.6, (2,): 0.8})
-    dyn = effective_hamiltonian(
-        free_hamiltonian(sys_), passive_unitary_for(psi, sys_)
-    )
+    dyn = whole_register(sys_, psi)
     t = np.linspace(0.0, 1.0, 5)
     series = evolve_probabilities(
         dyn,
@@ -396,9 +413,7 @@ def test_number_expectation_closed_form():
     n, omega = 3, 1.0
     sys_ = ModeSystem((omega,), (4,))
     psi = superposition(sys_, {(0,): 1.0, (n,): 1.0})
-    dyn = effective_hamiltonian(
-        free_hamiltonian(sys_), passive_unitary_for(psi, sys_)
-    )
+    dyn = whole_register(sys_, psi)
     t = np.linspace(0.0, 10.0, 101)
     series = evolve_probabilities(
         dyn,
@@ -414,9 +429,7 @@ def test_number_expectation_closed_form():
 def test_eigenstate_is_stationary():
     sys_ = ModeSystem((1.0,), (4,))
     psi = fock_ket(sys_, (3,))
-    dyn = effective_hamiltonian(
-        free_hamiltonian(sys_), passive_unitary_for(psi, sys_)
-    )
+    dyn = whole_register(sys_, psi)
     t = np.linspace(0.0, 25.0, 101)
     series = evolve_probabilities(
         dyn, psi, {"pn": [flat_index(sys_, (3,))]}, t, partition=False
@@ -452,7 +465,7 @@ def test_index_readout_matches_dense_projectors(cutoffs, data):
     )
     prep = _prepare(cfg)
     states = _evolved_states(
-        prep.dyn.h_eff.matrix, prep.psi0.amplitudes, np.linspace(0.0, 5.0, 7)
+        prep.dyn.dense(), prep.psi0.amplitudes, np.linspace(0.0, 5.0, 7)
     )
     got = read_channels(states, prep.channels)
 
@@ -491,11 +504,10 @@ def test_orthogonal_initial_state_survival_comparison_runs():
     between modified and standard survival instead of assuming equality."""
     rng = np.random.default_rng(33)
     h, _ = random_eigen_system(rng, 6)
-    sys_ = ModeSystem((1.0,), (5,))
     amps = np.zeros(6, dtype=complex)
     amps[1:] = rng.normal(size=5) + 1j * rng.normal(size=5)
     psi = Ket(amps)
-    dyn = effective_hamiltonian(h, passive_unitary_for(psi, sys_))
+    dyn = effective_dynamics([(np.diag(h.matrix).real, psi)])
     t = np.linspace(0.0, 20.0, 101)
     modified = survival_probability(dyn, psi, t).channels["p_survival"]
     evals, evecs = np.linalg.eigh(h.matrix)
@@ -527,17 +539,20 @@ def test_product_rotation_factorizes_generator():
     psi_b = superposition(sys_b, {(0,): 1.0, (m,): 1.0})
     u_a = passive_unitary_for(psi_a, sys_a)
     u_b = passive_unitary_for(psi_b, sys_b)
-    dyn_a = effective_hamiltonian(free_hamiltonian(sys_a), u_a)
-    dyn_b = effective_hamiltonian(free_hamiltonian(sys_b), u_b)
+    h_a = effective_hamiltonian(free_hamiltonian(sys_a), u_a)
+    h_b = effective_hamiltonian(free_hamiltonian(sys_b), u_b)
 
     sys_ab = ModeSystem((omega_a, omega_b), (n + 1, m + 1))
-    dyn_ab = effective_hamiltonian(free_hamiltonian(sys_ab), tensor(u_a, u_b))
+    h_ab = effective_hamiltonian(free_hamiltonian(sys_ab), tensor(u_a, u_b))
     ia = identity_operator(sys_a.dimension)
     ib = identity_operator(sys_b.dimension)
-    split = (
-        tensor(dyn_a.h_eff, ib).matrix + tensor(ia, dyn_b.h_eff).matrix
+    split = tensor(h_a, ib).matrix + tensor(ia, h_b).matrix
+    np.testing.assert_allclose(h_ab.matrix, split, atol=1e-12)
+    # the factored generator is that Kronecker sum
+    dyn_ab = effective_dynamics(
+        [(free_energies(sys_a), psi_a), (free_energies(sys_b), psi_b)]
     )
-    np.testing.assert_allclose(dyn_ab.h_eff.matrix, split, atol=1e-12)
+    np.testing.assert_allclose(dyn_ab.dense(), h_ab.matrix, atol=1e-12)
 
     # probabilities factorize into the single-mode ones
     psi_ab = superposition(
@@ -556,13 +571,13 @@ def test_product_rotation_factorizes_generator():
         t,
     )
     pa = evolve_probabilities(
-        dyn_a,
+        whole_register(sys_a, psi_a),
         psi_a,
         {"p0": [flat_index(sys_a, (0,))], "pn": [flat_index(sys_a, (n,))]},
         t,
     )
     pb = evolve_probabilities(
-        dyn_b,
+        whole_register(sys_b, psi_b),
         psi_b,
         {"p0": [flat_index(sys_b, (0,))], "pm": [flat_index(sys_b, (m,))]},
         t,
@@ -573,6 +588,117 @@ def test_product_rotation_factorizes_generator():
     np.testing.assert_allclose(
         joint.channels["pnm"], pa.channels["pn"] * pb.channels["pm"], atol=1e-9
     )
+
+
+# ------------------------------------------------------------- reduced route
+
+
+def _assert_reduced_matches_dense(prep, u_p):
+    """Every channel, n_expect and p_survival of the reduced route against the
+    dense conjugation H - U_p^dag H U_p and its eigendecomposition."""
+    sys_ = prep.system
+    h_eff = effective_hamiltonian(free_hamiltonian(sys_), u_p).matrix
+    np.testing.assert_allclose(prep.dyn.dense(), h_eff, rtol=0.0, atol=1e-12)
+    t = np.linspace(0.0, 7.0, 15)
+    occupations = occupation_counts(sys_)
+    got = dict(
+        evolve_probabilities(prep.dyn, prep.psi0, prep.channels, t, occupations).channels
+    )
+    got.update(survival_probability(prep.dyn, prep.psi0, t).channels)
+    states = _evolved_states(h_eff, prep.psi0.amplitudes, t)
+    expected = read_channels(states, prep.channels, occupations)
+    expected["p_survival"] = np.abs(prep.psi0.amplitudes.conj() @ states) ** 2
+    assert got.keys() == expected.keys()
+    for name, values in expected.items():
+        bound = 1e-12 * np.maximum(1.0, np.abs(values))
+        assert np.all(np.abs(got[name] - values) <= bound), name
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    cutoffs=st.sampled_from([(3,), (9,), (63,), (1, 2), (3, 3), (7, 7), (3, 3, 3)]),
+    full=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_reduced_route_matches_dense_on_custom_states(cutoffs, full, seed, data):
+    omega = (1.0, 1.3, 1.7)[: len(cutoffs)]
+    sys_ = ModeSystem(omega, cutoffs)
+    dim = sys_.dimension
+    if full:
+        support = np.arange(dim)
+    else:
+        drawn = data.draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=6))
+        support = sorted(drawn)
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(dim, dtype=complex)
+    amps[support] = rng.uniform(0.1, 1.0, len(support)) * np.exp(
+        2j * np.pi * rng.uniform(size=len(support))
+    )
+    cfg = load_config(
+        None,
+        {
+            "scenario": "custom-state",
+            "cutoffs": ",".join(map(str, cutoffs)),
+            "omega": ",".join(map(str, omega)),
+            "amplitudes": ",".join(map(repr, amps.tolist())),
+        },
+    )
+    prep = _prepare(cfg)
+    _assert_reduced_matches_dense(prep, passive_unitary_for(prep.psi0, sys_))
+
+
+@settings(max_examples=15, deadline=None)
+@given(modes=st.integers(2, 3), data=st.data())
+def test_reduced_route_matches_dense_on_products(modes, data):
+    ns = [data.draw(st.integers(1, 3), label=f"n{i}") for i in range(modes)]
+    cutoffs = [
+        n + data.draw(st.integers(0, 2), label=f"c{i}") for i, n in enumerate(ns)
+    ]
+    omega = [data.draw(st.floats(0.3, 3.0), label=f"w{i}") for i in range(modes)]
+    cfg = load_config(
+        None,
+        {
+            "scenario": "multimode-product",
+            "ns": ",".join(map(str, ns)),
+            "cutoffs": ",".join(map(str, cutoffs)),
+            "omega": ",".join(map(repr, omega)),
+        },
+    )
+    prep = _prepare(cfg)
+    u_p = None
+    for n, w, c in zip(ns, omega, cutoffs):
+        sub = ModeSystem((w,), (c,))
+        u = passive_unitary_for(superposition(sub, {(0,): 1.0, (n,): 1.0}), sub)
+        u_p = u if u_p is None else tensor(u_p, u)
+    _assert_reduced_matches_dense(prep, u_p)
+
+
+def test_corrupted_subspace_trips_the_leakage_gate():
+    sys_ = ModeSystem((1.0, 1.3), (3, 3))
+    psi = superposition(sys_, {(0, 0): 0.6, (1, 2): 0.5j, (3, 1): 0.4})
+    (factor,) = whole_register(sys_, psi).factors
+    assert factor.basis.shape[1] == 3
+    _projected_block(factor.apply, factor.basis, factor.scale)
+    # tilt the excited direction by 1e-6 toward a basis vector H_eff leaves alone
+    bad = factor.basis.copy()
+    bad[flat_index(sys_, (2, 2)), 1] = 1e-6
+    bad, _ = np.linalg.qr(bad)
+    with pytest.raises(ValueError, match="leaks out of its invariant subspace"):
+        _projected_block(factor.apply, bad, factor.scale)
+
+
+def test_state_outside_the_subspace_trips_the_frozen_complement_gate():
+    sys_ = ModeSystem((1.0,), (4,))
+    psi = superposition(sys_, {(0,): 1.0, (2,): 1.0})
+    dyn = whole_register(sys_, psi)
+    (factor,) = dyn.factors
+    # keep only the ground direction: the excited part of psi then moves
+    factor.basis = factor.basis[:, :1]
+    factor.block = factor.block[:1, :1]
+    with pytest.raises(ValueError, match="outside the invariant subspace moves"):
+        survival_probability(dyn, psi, np.linspace(0.0, 1.0, 3))
+    assert LEAKAGE_TOL == 1e-12
 
 
 # ------------------------------------------------------------- Dyson

@@ -1,10 +1,12 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ergodyn.cli import main
+from ergodyn.dynamics import TimeSeries
 from ergodyn.emit import (
     format_series_csv,
     format_summary_json,
@@ -12,7 +14,7 @@ from ergodyn.emit import (
     read_series_csv,
     write_series_csv,
 )
-from ergodyn.errors import ConfigError
+from ergodyn.errors import ConfigError, EngineDisagreementError
 from ergodyn.scenarios import (
     ScenarioConfig,
     load_config,
@@ -86,7 +88,14 @@ def test_config_field_level_errors():
             run("gravitational-mzi", **{key: value})
         assert err.value.field == key
     for key, value in (
+        ("eps", "-1"), ("eps", "-2.5"), ("omega_b", "0"), ("omega_a", "-1")
+    ):
+        with pytest.raises(ConfigError) as err:
+            run("moon-perturbative", **{key: value})
+        assert err.value.field == key
+    for key, value in (
         ("steps", "2.5"),
+        ("steps", "1000001"),
         ("theta", "abc"),
         ("t_max", "inf"),
         ("omega", "nan"),
@@ -309,6 +318,26 @@ def test_emission_byte_stable(tmp_path):
     assert out[0] == out[1]
 
 
+def test_csv_rows_match_the_per_value_formatter():
+    # the old emitter: one f-string per value
+    def per_value(series):
+        names = series.column_names()
+        lines = [",".join(["t"] + names)]
+        for k, t in enumerate(series.times):
+            row = [f"{t:.17g}"] + [f"{series.channels[n][k]:.17g}" for n in names]
+            lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
+
+    odd = [-0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0, -2.5e-17, 123456789.0]
+    series = TimeSeries(
+        np.linspace(0.0, 7.0, len(odd)),
+        {"a": odd, "b": np.array(odd[::-1]) * -1.0, "c": np.arange(len(odd)) / 7.0},
+    )
+    assert format_series_csv(series) == per_value(series)
+    series, _ = run("two-mode-separable", steps="81", engine="all", comparison="true")
+    assert format_series_csv(series) == per_value(series)
+
+
 def test_csv_probability_rows_sum_to_one(tmp_path):
     series, _ = run("two-mode-separable", steps="81", engine="exponential")
     path = tmp_path / "sep.csv"
@@ -387,9 +416,14 @@ def test_cli_validation_error_exit_code(monkeypatch, capsys):
         (["--scenario", "custom-state", "--cutoffs", "1", "--omega", "0",
           "--amplitudes", "1,1"], "omega"),
         (["--scenario", "gravitational-mzi", "--omega_0", "-1"], "omega_0"),
+        (["--steps", "100000000"], "steps"),
+        (["--scenario", "moon-perturbative", "--eps", "-1"], "eps"),
+        (["--scenario", "moon-perturbative", "--omega_b", "-0.5"], "omega_b"),
     ):
         assert main(["run", "--engine", "exponential", *args]) == 2
-        assert f"configuration error in {field}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"configuration error in {field}:" in err
+        assert "Traceback" not in err
     monkeypatch.setenv("ERGODYN_DIM_CAP", "abc")
     assert main(["run", "--engine", "exponential"]) == 2
     assert "ERGODYN_DIM_CAP" in capsys.readouterr().err
@@ -448,6 +482,58 @@ def test_cli_engine_disagreement_exit_code(monkeypatch, capsys):
     )
     assert code == 3
     assert "engine disagreement" in capsys.readouterr().err
+
+
+def test_engine_disagreement_names_channel_and_time(monkeypatch, capsys):
+    import ergodyn.scenarios as sc
+
+    # a zero RK4 tolerance forces the disagreement, in this test only
+    monkeypatch.setattr(sc, "TOL_RK4", 0.0)
+    overrides = {"scenario": "two-mode-separable", "steps": "21", "engine": "all"}
+    with pytest.raises(EngineDisagreementError) as err:
+        run_scenario(load_config(None, overrides))
+    channel, k, t = err.value.peaks["exponential_vs_rk4"]
+    series, _ = run_scenario(load_config(None, overrides), strict=False)
+    assert channel in series.channels and 0 <= k < 21
+    assert t == series.times[k]
+    assert f"peak in {channel} at t[{k}]" in str(err.value)
+    assert err.value.peaks.keys() == err.value.residuals.keys()
+    assert main(["run"] + [f"--{key}={v}" for key, v in overrides.items()]) == 3
+    assert f"(peak in {channel} at t[{k}] = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"scenario": "multimode-product", "ns": "1,2,3", "cutoffs": "10,10,10"},
+        {
+            "scenario": "custom-state",
+            "cutoffs": "15,15,15",
+            "omega": "1.0,1.3,1.7",
+            "amplitudes": ",".join(
+                {0: "0.5", 17: "0.3j", 1000: "(0.2-0.4j)", 4095: "0.6"}.get(k, "0")
+                for k in range(4096)
+            ),
+        },
+    ],
+    ids=["product-1331", "sparse-custom-4096"],
+)
+def test_exponential_route_builds_no_dense_matrix(overrides):
+    cfg = load_config(
+        None,
+        {"engine": "exponential", "steps": "11", "comparison": "true", **overrides},
+    )
+    tracemalloc.start()
+    try:
+        series, summary = run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dim = summary["dimension"]
+    assert dim in (1331, 4096)
+    # one complex N x N array alone would take 16 N^2 bytes
+    assert peak < 16 * dim**2
+    assert summary["negativity"] is not None and len(series.times) == 11
 
 
 def test_cli_long_rk4_horizon_fails_cleanly(capsys):
