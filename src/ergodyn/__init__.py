@@ -20,18 +20,14 @@ from .closed_forms import (
 )
 from .dynamics import (
     EffectiveDynamics,
-    SubspaceGenerator,
     TimeSeries,
-    block_probabilities,
     effective_dynamics,
     effective_hamiltonian,
     evolve_probabilities,
     expanded_generator,
-    first_order_dyson,
     propagator,
     read_channels,
     rk4_expectation_series,
-    subspace_generator,
     survival_probability,
 )
 from .errors import (
@@ -53,7 +49,6 @@ from .fock import (
     free_energies,
     free_hamiltonian,
     identity_operator,
-    number_operator,
     occupation_counts,
     occupations_of,
     projector,

@@ -19,8 +19,7 @@ from .emit import (
 )
 from .errors import ConfigError, EngineDisagreementError, ErgodynError
 from .scenarios import (
-    SCENARIO_DESCRIPTIONS,
-    SCENARIO_NAMES,
+    SCENARIOS,
     ScenarioConfig,
     load_config,
     run_scenario,
@@ -100,8 +99,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    for name in SCENARIO_NAMES:
-        print(f"{name:26s} {SCENARIO_DESCRIPTIONS[name]}")
+    for name, spec in SCENARIOS.items():
+        print(f"{name:26s} {spec.description}")
     return EXIT_OK
 
 

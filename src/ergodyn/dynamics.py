@@ -15,12 +15,11 @@ invariant subspace: an at most 3x3 Hermitian block per factor, so the
 propagator stays unitary at machine precision for every t and no N x N
 array is formed.
 
-Three independent evolution routes are provided and cross-checked by the
-test suite: the exact exponential, classical RK4 stepping of the state, and
-the closed 4x4 dyad-vector system on the ground/excited plane.  The dense
-conjugation H - U_p^dag H U_p with its eigendecomposition is kept as the
-oracle of the exponential route.  A first-order Dyson solver covers
-perturbative scenarios.
+Two independent numerical routes are provided, the exact exponential and
+classical RK4 stepping of the state; the scenarios cross-check them against
+each other and against the closed forms.  The dense conjugation
+H - U_p^dag H U_p with its eigendecomposition is kept as the oracle of the
+exponential route.
 """
 
 from __future__ import annotations
@@ -275,54 +274,6 @@ def expanded_generator(hamiltonian: Operator, dec) -> Operator:
     return Operator((out + out.conj().T) / 2.0, hermitian_hint=True)
 
 
-@dataclass(frozen=True)
-class SubspaceGenerator:
-    """Closed generator of the dyad vector on the ground/excited plane.
-
-    The vector of operators is ordered (|g><g|, |g><e|, |e><g|, |e><e|) and
-    obeys d/dt X = -i * prefactor * matrix @ X with ``prefactor`` the energy
-    gap; ``matrix`` is real symmetric and vanishes at theta = 0.
-    """
-
-    matrix: np.ndarray
-    prefactor: float
-
-    ORDERING = ("gg", "ge", "eg", "ee")
-
-
-def subspace_generator(theta: float, energy_gap: float) -> SubspaceGenerator:
-    """4x4 dyad-vector generator for an excited component that is an eigenstate."""
-    c, s = np.cos(theta), np.sin(theta)
-    m = s * np.array(
-        [
-            [0.0, c, -c, 0.0],
-            [c, 2.0 * s, 0.0, -c],
-            [-c, 0.0, -2.0 * s, c],
-            [0.0, -c, c, 0.0],
-        ]
-    )
-    return SubspaceGenerator(matrix=m, prefactor=float(energy_gap))
-
-
-def block_probabilities(gen: SubspaceGenerator, theta: float, t_grid):
-    """Ground/excited occupation series from the dyad-vector route.
-
-    Solves X(t) = exp(-i * gap * M * t) X(0) and returns the expectations of
-    the two projector components in the initial state
-    cos(theta)|g> + sin(theta)|e>.
-    """
-    c, s = np.cos(theta), np.sin(theta)
-    x0 = np.array([c * c, c * s, s * c, s * s], dtype=complex)
-    evals, evecs = np.linalg.eig(-1j * gen.prefactor * gen.matrix)
-    coeff = np.linalg.solve(evecs, x0)
-    t = np.asarray(t_grid, dtype=float)
-    # X(t) = V exp(lambda t) V^-1 x0, evaluated on the whole grid at once
-    xt = evecs @ (np.exp(np.outer(evals, t)) * coeff[:, None])
-    p_ground = xt[0].real
-    p_excited = xt[3].real
-    return p_ground, p_excited
-
-
 def propagator(h_eff: Operator, t: float) -> Operator:
     """U(t) = exp(-i H_eff t) of a dense generator, via its eigendecomposition."""
     if not np.isfinite(t):
@@ -552,52 +503,3 @@ def survival_probability(dyn: EffectiveDynamics, psi0: Ket, t_grid) -> TimeSerie
         {"p_survival": np.abs(amp) ** 2},
         probability_channels=("p_survival",),
     )
-
-
-def first_order_dyson(m0, m1, eps: float, t_grid) -> np.ndarray:
-    """First-order perturbative propagator for d/dt X = -i (M0 + eps M1) X.
-
-    Returns the stack W(t_k) = U0(t_k) (1 - i eps I(t_k)) with
-    U0(t) = exp(-i M0 t) and I(t) the interaction integral of M1, evaluated
-    by cumulative composite Simpson quadrature on the grid.  The grid must
-    carry an even number of intervals.  The residual against the full
-    exponential exp(-i (M0 + eps M1) t) is O(eps^2).
-    """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 3:
-        raise GridError("Dyson grid needs at least three points")
-    if (t.size - 1) % 2 != 0:
-        raise GridError(
-            f"Simpson quadrature needs an even interval count, got {t.size - 1}"
-        )
-    dt = np.diff(t)
-    if np.abs(dt - dt[0]).max() > 1e-9 * abs(dt[0]):
-        raise GridError("Dyson grid must be uniform")
-    h = float(dt[0])
-
-    m0 = np.asarray(m0, dtype=complex)
-    m1 = np.asarray(m1, dtype=complex)
-    if m0.shape != m1.shape:
-        raise ValueError(f"shape mismatch: M0 {m0.shape}, M1 {m1.shape}")
-
-    # M0 need not be Hermitian in general; use a dense eigensolve for U0
-    evals, evecs = np.linalg.eig(-1j * m0)
-    vinv = np.linalg.inv(evecs)
-
-    def u0(tt):
-        return (evecs * np.exp(evals * tt)) @ vinv
-
-    u0_stack = np.array([u0(tt) for tt in t])
-    # u0 need not be unitary for non-normal m0; use the proper inverse
-    u0_inv_stack = np.array([np.linalg.inv(u) for u in u0_stack])
-    integrand = np.einsum("tij,jk,tkl->til", u0_inv_stack, m1, u0_stack)
-
-    integral = np.zeros_like(integrand)
-    for j in range(0, t.size - 2, 2):
-        f0, f1, f2 = integrand[j], integrand[j + 1], integrand[j + 2]
-        integral[j + 1] = integral[j] + (h / 12.0) * (5.0 * f0 + 8.0 * f1 - f2)
-        integral[j + 2] = integral[j] + (h / 3.0) * (f0 + 4.0 * f1 + f2)
-
-    eye = np.eye(m0.shape[0])
-    out = np.einsum("tij,tjk->tik", u0_stack, eye - 1j * eps * integral)
-    return out

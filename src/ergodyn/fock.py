@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionCapError
 
-HBAR = 1.0
-
 DEFAULT_DIMENSION_CAP = 4096
 DIMENSION_CAP_ENV = "ERGODYN_DIM_CAP"
 
@@ -122,10 +120,6 @@ class Ket:
     def dimension(self) -> int:
         return self.amplitudes.shape[0]
 
-    def overlap(self, other: "Ket") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 class Operator:
     """Dense complex square matrix, optionally asserted Hermitian."""
@@ -147,9 +141,6 @@ class Operator:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, hermitian_hint=self.hermitian_hint)
 
     def expectation(self, ket: Ket) -> complex:
         return complex(ket.amplitudes.conj() @ (self.matrix @ ket.amplitudes))
@@ -221,11 +212,6 @@ def free_energies(system: ModeSystem) -> np.ndarray:
 def free_hamiltonian(system: ModeSystem) -> Operator:
     """Diagonal free Hamiltonian: |n_1...n_k> has energy sum_i n_i omega_i."""
     return Operator(np.diag(free_energies(system)), hermitian_hint=True)
-
-
-def number_operator(system: ModeSystem) -> Operator:
-    """Total occupation operator, diagonal with entry sum_i n_i."""
-    return Operator(np.diag(occupation_counts(system)), hermitian_hint=True)
 
 
 def projector(ket: Ket) -> Operator:

@@ -1,11 +1,13 @@
 """Named end-to-end scenarios, configuration handling, and engine routing.
 
-Each scenario assembles a mode register, an initial state, the passive
-rotation, and its channels (named sets of flat Fock indices whose
-populations are read out), then evolves them with up to three
-independent engines (closed forms, exponential propagator, RK4) and
-cross-checks the results.  The exponential route is canonical; the others
-exist to catch it lying.
+Each scenario is one row of :data:`SCENARIOS`: its description, the config
+keys it reads with their defaults, and a function that turns the checked
+values into a mode register, an initial state and a closed form.  One
+assembler builds from that the passive rotation and the channels (named
+sets of flat Fock indices whose populations are read out); the scenario is
+then evolved with up to three independent engines (closed forms,
+exponential propagator, RK4) and the results are cross-checked.  The
+exponential route is canonical; the others exist to catch it lying.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .dynamics import (
     rk4_expectation_series,
     survival_probability,
 )
+from .emit import SWEEP_COLUMNS
 from .errors import ConfigError, EngineDisagreementError, RefinementError
 from .fock import (
     Ket,
@@ -51,30 +54,6 @@ PERT_RESIDUAL_COEFF = 8.0
 #: most time samples per run: np.linspace rounding alone breaks the 1e-9
 #: uniformity check of TimeSeries near 1e7 samples (1.3e-10 at 1e6)
 MAX_STEPS = 1_000_000
-
-SCENARIO_NAMES = (
-    "single-mode-superposition",
-    "single-eigenstate",
-    "two-mode-separable",
-    "multimode-product",
-    "entangled-noon",
-    "moon-degenerate",
-    "moon-perturbative",
-    "gravitational-mzi",
-    "custom-state",
-)
-
-SCENARIO_DESCRIPTIONS = {
-    "single-mode-superposition": "cos(theta)|0> + sin(theta)|n> in one mode",
-    "single-eigenstate": "a bare Fock state |n>; nothing should move",
-    "two-mode-separable": "product of two balanced superpositions, product rotation",
-    "multimode-product": "k-mode product of balanced superpositions",
-    "entangled-noon": "(|00> + |nm>)/sqrt(2), a jointly rotated pair",
-    "moon-degenerate": "cos(phi)|M0> + sin(phi)|0N> with equal arm energies",
-    "moon-perturbative": "equal-occupation interferometer with small detuning",
-    "gravitational-mzi": "balanced interferometer with arms at different heights",
-    "custom-state": "user-supplied amplitudes over the truncated basis",
-}
 
 
 @dataclass(frozen=True)
@@ -115,11 +94,11 @@ class ScenarioConfig:
                 for v in items
             ):
                 raise ConfigError(f.name, f"must be finite, got {value}")
-        if self.scenario not in SCENARIO_NAMES:
+        if self.scenario not in SCENARIOS:
             raise ConfigError(
                 "scenario",
                 f"unknown scenario {self.scenario!r}; "
-                f"choose from {', '.join(SCENARIO_NAMES)}",
+                f"choose from {', '.join(SCENARIOS)}",
             )
         if self.engine not in ENGINES:
             raise ConfigError(
@@ -215,6 +194,350 @@ def load_config(path=None, overrides=None) -> ScenarioConfig:
     return ScenarioConfig(**entries).validated()
 
 
+
+# --------------------------------------------------------------------------
+# scenario table
+
+
+@dataclass
+class _Model:
+    """What a scenario specifies; :func:`_assemble` builds the rest.  A None
+    field takes the rule in its comment."""
+
+    omega: tuple  # mode frequencies
+    terms: dict  # initial state {occupations: amplitude}
+    # occupations read out as p_<occ>; None: the vacuum and the state's
+    # support, with the rest of the basis as one channel p_other
+    channels: list | None
+    # closed form, t -> one probability per channel; None: there is none
+    probabilities: typing.Callable | None = None
+    survival: typing.Callable | None = None  # t -> p_survival; None: one
+    number: typing.Callable | None = None  # t -> n_expect; None: sum |occ| p_occ
+    # one single-mode state per mode if the rotation factorizes over modes
+    mode_terms: list | None = None
+    omega_osc: float | None = None  # None: read from the generator
+    t_default: float | None = None  # None: two periods of omega_osc, or 10
+    # horizon -> closed-form tolerance; None: TOL_ANALYTIC
+    analytic_tol: typing.Callable | None = None
+    extra: dict = field(default_factory=dict)  # summary entries
+
+
+def _single_mode(v: dict) -> _Model:
+    n, (omega,) = v["n"], v["omega"]
+    # single-eigenstate reads no theta: its state is |n>
+    theta = v.get("theta", math.pi / 2)
+    gap = n * omega - v["E0"]
+    return _Model(
+        omega=(omega,),
+        terms={(0,): math.cos(theta), (n,): math.sin(theta)},
+        channels=[(0,), (n,)],
+        probabilities=lambda t: cf.two_level_probabilities(theta, gap, t),
+        survival=lambda t: cf.two_level_survival(theta, gap, t),
+        omega_osc=cf.oscillation_frequency(theta, gap),
+    )
+
+
+def _product(ns, omegas, base_omega) -> _Model:
+    """Balanced superposition (|0> + |n_k>)/sqrt(2) in every mode, rotated
+    mode by mode."""
+    root = 1.0 / math.sqrt(2.0)
+    corners = [
+        tuple(n if bit else 0 for n, bit in zip(ns, bits))
+        for bits in np.ndindex(*(2,) * len(ns))
+    ]
+
+    def probabilities(t):
+        singles = [
+            cf.balanced_superposition_probabilities(n, w, 0.0, t)
+            for n, w in zip(ns, omegas)
+        ]
+        return [
+            math.prod(p_n if o else p_0 for (p_0, p_n), o in zip(singles, occ))
+            for occ in corners
+        ]
+
+    # two periods of the slowest single-mode oscillation
+    slowest = min(n * w for n, w in zip(ns, omegas)) / math.sqrt(2.0)
+    extra = {}
+    if base_omega is not None:
+        extra["periodic"] = cf.product_recurrence_possible(ns, omegas, base_omega)
+    return _Model(
+        omega=tuple(omegas),
+        # uniform amplitude (1/sqrt(2))^k on every excitation-pattern corner
+        terms={occ: root ** len(ns) for occ in corners},
+        channels=corners,
+        probabilities=probabilities,
+        survival=lambda t: math.prod(
+            cf.two_level_survival(math.pi / 4, n * w, t) for n, w in zip(ns, omegas)
+        ),
+        # the per-mode sum, which rounds differently from sum |occ| p_occ
+        number=lambda t: sum(
+            cf.balanced_superposition_number(n, w, 0.0, t)
+            for n, w in zip(ns, omegas)
+        ),
+        mode_terms=[{(0,): root, (n,): root} for n in ns],
+        t_default=2.0 * math.pi / slowest,
+        extra=extra,
+    )
+
+
+def _noon(v: dict) -> _Model:
+    n, m, omega_a, omega_b = v["n"], v["m"], v["omega_a"], v["omega_b"]
+    root = 1.0 / math.sqrt(2.0)
+    gap = n * omega_a + m * omega_b
+    return _Model(
+        omega=(omega_a, omega_b),
+        terms={(0, 0): root, (n, m): root},
+        channels=[(0, 0), (n, m)],
+        probabilities=lambda t: cf.noon_probabilities(n, m, omega_a, omega_b, t),
+        survival=lambda t: cf.two_level_survival(math.pi / 4, gap, t),
+        omega_osc=cf.oscillation_frequency(math.pi / 4, gap),
+    )
+
+
+def _interferometer(m_occ, n_occ, phi, omega_a, omega_b, pair, **model) -> _Model:
+    """cos(phi)|M,0> + sin(phi)|0,N>; ``pair`` maps t to the closed-form
+    populations of the two arms."""
+    first, second = (m_occ, 0), (0, n_occ)
+    return _Model(
+        omega=(omega_a, omega_b),
+        terms={first: math.cos(phi), second: math.sin(phi)},
+        channels=[(0, 0), first, second],
+        probabilities=lambda t: (0.0, *pair(t)),
+        **model,
+    )
+
+
+def _first_order(key, n_occ, phi, omega_a, omega_b, eps, pair, extra) -> _Model:
+    """M = N interferometer detuned by eps, against the first-order closed
+    form ``pair(params, t)``.  ``key`` names the config key that set eps; a
+    detuning too large for the closed form is a ConfigError of that key."""
+    try:
+        params = cf.MoonParams(
+            m_occ=n_occ, n_occ=n_occ, phi=phi, omega_a=omega_a, omega_b=omega_b
+        )
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
+    period = 2.0 * math.pi / (n_occ * omega_a)
+    return _interferometer(
+        n_occ, n_occ, phi, omega_a, omega_b, lambda t: pair(params, t),
+        omega_osc=n_occ * omega_a,
+        analytic_tol=lambda horizon: (
+            PERT_RESIDUAL_COEFF * eps**2 * max(1.0, horizon / period) + 1e-12
+        ),
+        extra={"eps": eps, **extra},
+    )
+
+
+def _moon_degenerate(v: dict) -> _Model:
+    m_occ, n_occ, omega_a, omega_b = v["M"], v["N"], v["omega_a"], v["omega_b"]
+    gap = n_occ * omega_b - m_occ * omega_a
+    if abs(gap) > 1e-9 * max(m_occ * omega_a, 1.0):
+        raise ConfigError(
+            "omega_b",
+            f"arm energies differ by {gap:g}; the degenerate scenario "
+            "needs M omega_a = N omega_b",
+        )
+    arms = cf.moon_degenerate_probabilities(v["phi"])
+    return _interferometer(
+        m_occ, n_occ, v["phi"], omega_a, omega_b, lambda t: arms,
+        omega_osc=0.0, t_default=50.0, extra={"eps": 0.0},
+    )
+
+
+def _moon_perturbative(v: dict) -> _Model:
+    n_occ, omega_a = v["N"], v["omega_a"]
+    if v["M"] != n_occ:
+        raise ConfigError("M", "the perturbative interferometer needs M = N")
+    if v["omega_b"] is not None and v["eps"] is not None:
+        raise ConfigError("eps", "give either eps or omega_b, not both")
+    if v["omega_b"] is not None:
+        key, omega_b = "omega_b", v["omega_b"]
+        eps = (omega_b - omega_a) / omega_a
+    else:
+        key, eps = "eps", 1e-3 if v["eps"] is None else v["eps"]
+        omega_b = omega_a * (1.0 + eps)
+    return _first_order(
+        key, n_occ, v["phi"], omega_a, omega_b, eps,
+        cf.moon_perturbative_probabilities, {},
+    )
+
+
+def _gravitational(v: dict) -> _Model:
+    if v["L"] >= 0.1 * v["r_E"]:
+        raise ConfigError(
+            "L", f"first-order redshift needs L < 0.1 r_E, got L={v['L']:g}"
+        )
+    n_occ, omega_0 = v["N"], v["omega_0"]
+    scenario = cf.GravityScenario(
+        schwarzschild_radius=v["r_S"],
+        earth_radius=v["r_E"],
+        path_length=v["L"],
+        omega_0=omega_0,
+        n_occ=n_occ,
+    )
+    eps = -scenario.relative_shift
+    return _first_order(
+        "r_S", n_occ, math.pi / 4, omega_0, omega_0 * (1.0 + eps), eps,
+        lambda params, t: cf.gravitational_probabilities(scenario, t),
+        {"asymmetry_closed_form": scenario.asymmetry},
+    )
+
+
+def _custom_state(v: dict) -> _Model:
+    amps = v["amplitudes"]
+    shape = tuple(c + 1 for c in v["cutoffs"])
+    if len(amps) != math.prod(shape):
+        raise ConfigError(
+            "amplitudes",
+            f"expected {math.prod(shape)} amplitudes for this basis, "
+            f"got {len(amps)}",
+        )
+    if not any(amps):
+        raise ConfigError("amplitudes", "cannot normalize the zero vector")
+    return _Model(
+        omega=v["omega"],
+        terms={occ: a for occ, a in zip(np.ndindex(*shape), amps) if a},
+        channels=None,
+    )
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """One row of :data:`SCENARIOS`."""
+
+    description: str
+    modes: int | str  # mode count, or the list key whose length gives it
+    # config key -> default, in reading order: a value, a function of the
+    # values read before it, ... (required), or None (optional, or the
+    # ScenarioConfig default)
+    keys: dict
+    build: typing.Callable[[dict], _Model]  # checked values -> _Model
+
+
+_PAIR_KEYS = {
+    "n": 2, "m": 3, "omega_a": 1.0, "omega_b": math.sqrt(2.0),
+    "cutoffs": lambda v: (v["n"] + 1, v["m"] + 1),
+}
+
+#: scenario name -> its description, the keys it reads and how it is built
+SCENARIOS = {
+    "single-mode-superposition": _Spec(
+        "cos(theta)|0> + sin(theta)|n> in one mode", 1,
+        {
+            "n": 3, "omega": (1.0,), "theta": math.pi / 4, "E0": None,
+            "cutoffs": lambda v: (v["n"] + 1,),
+        },
+        _single_mode,
+    ),
+    "single-eigenstate": _Spec(
+        "a bare Fock state |n>; nothing should move", 1,
+        {"n": 3, "omega": (1.0,), "E0": None, "cutoffs": lambda v: (v["n"] + 1,)},
+        _single_mode,
+    ),
+    "two-mode-separable": _Spec(
+        "product of two balanced superpositions, product rotation", 2,
+        {**_PAIR_KEYS, "base_omega": None},
+        lambda v: _product(
+            (v["n"], v["m"]), (v["omega_a"], v["omega_b"]), v["base_omega"]
+        ),
+    ),
+    "multimode-product": _Spec(
+        "k-mode product of balanced superpositions", "ns",
+        {
+            "ns": (1, 1, 1),
+            "omega": lambda v: tuple(1.0 + 0.5 * i for i in range(len(v["ns"]))),
+            "cutoffs": lambda v: tuple(n + 1 for n in v["ns"]),
+            "base_omega": None,
+        },
+        lambda v: _product(v["ns"], v["omega"], v["base_omega"]),
+    ),
+    "entangled-noon": _Spec(
+        "(|00> + |nm>)/sqrt(2), a jointly rotated pair", 2, _PAIR_KEYS, _noon
+    ),
+    "moon-degenerate": _Spec(
+        "cos(phi)|M0> + sin(phi)|0N> with equal arm energies", 2,
+        {
+            "M": 2, "N": 1, "phi": math.pi / 3, "omega_a": 1.0,
+            "omega_b": lambda v: v["M"] * v["omega_a"] / v["N"],
+            "cutoffs": lambda v: (v["M"], v["N"]),
+        },
+        _moon_degenerate,
+    ),
+    "moon-perturbative": _Spec(
+        "equal-occupation interferometer with small detuning", 2,
+        {
+            "N": 2, "M": lambda v: v["N"], "phi": math.pi / 3, "omega_a": 1.0,
+            "omega_b": None, "eps": None,
+            "cutoffs": lambda v: (v["M"], v["N"]),
+        },
+        _moon_perturbative,
+    ),
+    "gravitational-mzi": _Spec(
+        "balanced interferometer with arms at different heights", 2,
+        {
+            "N": 1, "omega_0": 1.0, "r_S": None, "r_E": None, "L": None,
+            "cutoffs": lambda v: (v["N"], v["N"]),
+        },
+        _gravitational,
+    ),
+    "custom-state": _Spec(
+        "user-supplied amplitudes over the truncated basis", "cutoffs",
+        {"amplitudes": ..., "cutoffs": ..., "omega": ..., "E0": None},
+        _custom_state,
+    ),
+}
+
+#: (test, requirement) that the value of a key, or each entry of a list
+#: value, must pass
+_RULES = {
+    **dict.fromkeys(
+        ("n", "m", "N", "M", "ns"), (lambda x: x >= 1, "occupation must be >= 1")
+    ),
+    "cutoffs": (lambda x: x >= 1, "cutoff must be >= 1"),
+    **dict.fromkeys(
+        ("omega", "omega_a", "omega_b", "omega_0", "base_omega"),
+        (lambda x: x > 0, "frequency must be positive"),
+    ),
+    "r_E": (lambda x: x > 0, "radius must be positive"),
+    # angles forgive rounded endpoint inputs, which are then clamped
+    **dict.fromkeys(
+        ("theta", "phi"),
+        (lambda x: -1e-6 <= x <= math.pi / 2 + 1e-6, "must lie in [0, pi/2]"),
+    ),
+}
+
+
+def _read(cfg: ScenarioConfig, spec: _Spec) -> dict:
+    """Value of every key ``spec`` reads, in table order: the config value
+    or the default, checked against the key's rule.  A value that fails is
+    a ConfigError naming the key it was read from."""
+    values = {}
+    for key, default in spec.keys.items():
+        value = getattr(cfg, key)
+        if value in (None, ()):
+            if default is ...:
+                raise ConfigError(key, f"{cfg.scenario} needs explicit {key}")
+            value = default(values) if callable(default) else default
+        if key in ("omega", "cutoffs") and key != spec.modes:
+            modes = spec.modes if isinstance(spec.modes, int) else len(
+                values[spec.modes]
+            )
+            if len(value) != modes:
+                raise ConfigError(
+                    key, f"need one entry per mode ({modes}), got {len(value)}"
+                )
+        if key in _RULES and value is not None:
+            test, need = _RULES[key]
+            for x in value if isinstance(value, tuple) else (value,):
+                if not test(x):
+                    raise ConfigError(key, f"{need}, got {x}")
+        if key in ("theta", "phi"):
+            value = min(max(value, 0.0), math.pi / 2)
+        values[key] = value
+    return values
+
+
 # --------------------------------------------------------------------------
 # scenario assembly
 
@@ -228,454 +551,94 @@ class _Prepared:
     dyn: EffectiveDynamics
     channels: dict  # name -> flat Fock indices whose populations it sums
     closed_channels: object  # callable t -> dict of channel arrays, or None
-    regime: str  # "exact", "perturbative", "none"
     t_max: float
     omega_osc: float
     analytic_tol: float
-    summary_extra: dict = field(default_factory=dict)
-    partition_b_modes: tuple = ()
-
-
-def _require(cfg_value, default):
-    return default if cfg_value is None else cfg_value
-
-
-def _angle(value: float, field: str) -> float:
-    """Validate an angle in [0, pi/2], forgiving rounded endpoint inputs."""
-    if -1e-6 <= value < 0.0:
-        return 0.0
-    if math.pi / 2 < value <= math.pi / 2 + 1e-6:
-        return math.pi / 2
-    if not 0.0 <= value <= math.pi / 2:
-        raise ConfigError(field, f"must lie in [0, pi/2], got {value}")
-    return value
-
-
-def _occ_label(occ) -> str:
-    return "p_" + "_".join(str(o) for o in occ)
-
-
-def _fock_channels(system: ModeSystem, occupations) -> dict:
-    """Channel ``p_<occ>`` -> the flat index of basis vector |occ>, per occupation."""
-    return {_occ_label(occ): [flat_index(system, occ)] for occ in occupations}
-
-
-def _ground_offset_energies(system: ModeSystem, e0: float) -> np.ndarray:
-    """Free energies with the ground level shifted to energy e0."""
-    h = free_energies(system)
-    h[0] += e0
-    return h
-
-
-def _single_mode(cfg: ScenarioConfig, eigenstate: bool) -> _Prepared:
-    n = _require(cfg.n, 3)
-    if n < 1:
-        raise ConfigError("n", f"occupation must be >= 1, got {n}")
-    omega = cfg.omega[0] if cfg.omega else 1.0
-    if omega <= 0:
-        raise ConfigError("omega", f"frequency must be positive, got {omega}")
-    theta = math.pi / 2 if eigenstate else _angle(
-        _require(cfg.theta, math.pi / 4), "theta"
-    )
-    cutoff = cfg.cutoffs[0] if cfg.cutoffs else n + 1
-    if cutoff < n:
-        raise ConfigError("cutoffs", f"cutoff {cutoff} cannot hold occupation {n}")
-    system = ModeSystem((omega,), (cutoff,))
-    psi = superposition(system, {(0,): math.cos(theta), (n,): math.sin(theta)})
-    dyn = effective_dynamics([(_ground_offset_energies(system, cfg.E0), psi)])
-    gap = n * omega - cfg.E0
-    omega_osc = cf.oscillation_frequency(theta, gap)
-    channels = _fock_channels(system, [(0,), (n,)])
-
-    def closed(t):
-        p0, pn = cf.two_level_probabilities(theta, gap, t)
-        return {
-            _occ_label((0,)): p0,
-            _occ_label((n,)): pn,
-            "n_expect": n * pn,
-            "p_survival": cf.two_level_survival(theta, gap, t),
-        }
-
-    t_default = 4 * math.pi / omega_osc if omega_osc > 0 else 10.0
-    return _Prepared(
-        system=system,
-        psi0=psi,
-        dyn=dyn,
-        channels=channels,
-        closed_channels=closed,
-        regime="exact",
-        t_max=_require(cfg.t_max, t_default),
-        omega_osc=omega_osc,
-        analytic_tol=TOL_ANALYTIC,
-    )
-
-
-def _product_modes(cfg: ScenarioConfig, ns, omegas) -> _Prepared:
-    if cfg.E0 != 0.0:
-        raise ConfigError("E0", "product scenarios assume a zero ground energy")
-    for i, (n, w) in enumerate(zip(ns, omegas)):
-        if n < 1:
-            raise ConfigError("ns", f"occupation {n} of mode {i} must be >= 1")
-        if w <= 0:
-            raise ConfigError("omega", f"frequency {w} of mode {i} must be positive")
-    cutoffs = cfg.cutoffs if cfg.cutoffs else tuple(n + 1 for n in ns)
-    if len(cutoffs) != len(ns):
-        raise ConfigError("cutoffs", f"need {len(ns)} cutoffs, got {len(cutoffs)}")
-    for n, c in zip(ns, cutoffs):
-        if c < n:
-            raise ConfigError("cutoffs", f"cutoff {c} cannot hold occupation {n}")
-    system = ModeSystem(tuple(omegas), tuple(cutoffs))
-
-    # per-mode balanced superpositions and a product rotation
-    root = 1.0 / math.sqrt(2.0)
-    factors = []
-    for n, w, c in zip(ns, omegas, cutoffs):
-        sub = ModeSystem((w,), (c,))
-        psi_mode = superposition(sub, {(0,): root, (n,): root})
-        factors.append((free_energies(sub), psi_mode))
-
-    # uniform amplitude (1/sqrt(2))^k on every excitation-pattern corner
-    corners = [
-        tuple(n if bit else 0 for n, bit in zip(ns, bits))
-        for bits in np.ndindex(*(2,) * len(ns))
-    ]
-    psi = superposition(system, {occ: root ** len(ns) for occ in corners})
-
-    dyn = effective_dynamics(factors)
-    channels = _fock_channels(system, corners)
-
-    def closed(t):
-        t = np.asarray(t, dtype=float)
-        singles = [
-            cf.balanced_superposition_probabilities(n, w, 0.0, t)
-            for n, w in zip(ns, omegas)
-        ]
-        out = {}
-        for occ in corners:
-            prob = np.ones_like(t)
-            for (p_ground, p_excited), o in zip(singles, occ):
-                prob = prob * (p_excited if o else p_ground)
-            out[_occ_label(occ)] = prob
-        out["n_expect"] = sum(
-            cf.balanced_superposition_number(n, w, 0.0, t)
-            for n, w in zip(ns, omegas)
-        )
-        surv = np.ones_like(t)
-        for n, w in zip(ns, omegas):
-            surv = surv * cf.two_level_survival(math.pi / 4, n * w, t)
-        out["p_survival"] = surv
-        return out
-
-    # two periods of the slowest single-mode oscillation
-    slowest = min(n * w for n, w in zip(ns, omegas)) / math.sqrt(2.0)
-    t_default = 2.0 * math.pi / slowest
-    extra = {}
-    if cfg.base_omega is not None:
-        extra["periodic"] = cf.product_recurrence_possible(
-            ns, omegas, cfg.base_omega
-        )
-    return _Prepared(
-        system=system,
-        psi0=psi,
-        dyn=dyn,
-        channels=channels,
-        closed_channels=closed,
-        regime="exact",
-        t_max=_require(cfg.t_max, t_default),
-        omega_osc=cf.oscillation_frequency(dynamics_theta(dyn), dyn.energy_gap),
-        analytic_tol=TOL_ANALYTIC,
-        summary_extra=extra,
-        partition_b_modes=tuple(range(1, len(ns))),
-    )
+    summary_extra: dict
 
 
 def dynamics_theta(dyn: EffectiveDynamics) -> float:
     return float(math.asin(min(max(dyn.mixing_sine, 0.0), 1.0)))
 
 
-def _entangled_pair(cfg: ScenarioConfig) -> _Prepared:
-    if cfg.E0 != 0.0:
-        raise ConfigError("E0", "the entangled scenario assumes a zero ground energy")
-    n = _require(cfg.n, 2)
-    m = _require(cfg.m, 3)
-    omega_a = _require(cfg.omega_a, 1.0)
-    omega_b = _require(cfg.omega_b, math.sqrt(2.0))
-    if n < 1 or m < 1:
-        raise ConfigError("n", f"occupations must be >= 1, got n={n}, m={m}")
-    if omega_a <= 0 or omega_b <= 0:
-        raise ConfigError("omega_a", "frequencies must be positive")
-    cutoffs = cfg.cutoffs if cfg.cutoffs else (n + 1, m + 1)
-    if len(cutoffs) != 2 or cutoffs[0] < n or cutoffs[1] < m:
-        raise ConfigError("cutoffs", f"cutoffs {cutoffs} cannot hold ({n}, {m})")
-    system = ModeSystem((omega_a, omega_b), tuple(cutoffs))
-    root = 1.0 / math.sqrt(2.0)
-    psi = superposition(system, {(0, 0): root, (n, m): root})
-    dyn = effective_dynamics([(free_energies(system), psi)])
-    gap = n * omega_a + m * omega_b
-    channels = _fock_channels(system, [(0, 0), (n, m)])
-
-    def closed(t):
-        p00, pnm = cf.noon_probabilities(n, m, omega_a, omega_b, t)
-        return {
-            _occ_label((0, 0)): p00,
-            _occ_label((n, m)): pnm,
-            "n_expect": (n + m) * pnm,
-            "p_survival": cf.two_level_survival(math.pi / 4, gap, t),
-        }
-
-    omega_osc = cf.oscillation_frequency(math.pi / 4, gap)
-    return _Prepared(
-        system=system,
-        psi0=psi,
-        dyn=dyn,
-        channels=channels,
-        closed_channels=closed,
-        regime="exact",
-        t_max=_require(cfg.t_max, 4 * math.pi / omega_osc),
-        omega_osc=omega_osc,
-        analytic_tol=TOL_ANALYTIC,
-        partition_b_modes=(1,),
-    )
-
-
-def _moon(cfg: ScenarioConfig, flavor: str) -> _Prepared:
-    if cfg.E0 != 0.0:
-        raise ConfigError("E0", "interferometer scenarios assume a zero ground energy")
-    if flavor == "gravitational":
-        n_occ = _require(cfg.N, 1)
-        m_occ = n_occ
-        phi = math.pi / 4
-        omega_a = _require(cfg.omega_0, 1.0)
-        if n_occ < 1:
-            raise ConfigError("N", f"occupation must be >= 1, got {n_occ}")
-        if omega_a <= 0:
-            raise ConfigError("omega_0", f"frequency must be positive, got {omega_a}")
-        if cfg.r_E <= 0:
-            raise ConfigError("r_E", f"radius must be positive, got {cfg.r_E}")
-        if cfg.L >= 0.1 * cfg.r_E:
-            raise ConfigError(
-                "L", f"first-order redshift needs L < 0.1 r_E, got L={cfg.L:g}"
-            )
-        scenario = cf.GravityScenario(
-            schwarzschild_radius=cfg.r_S,
-            earth_radius=cfg.r_E,
-            path_length=cfg.L,
-            omega_0=omega_a,
-            n_occ=n_occ,
-        )
-        eps = -scenario.relative_shift
-        omega_b = omega_a * (1.0 + eps)
-        omega_b_key = "r_S"
-    elif flavor == "perturbative":
-        n_occ = _require(cfg.N, 2)
-        m_occ = _require(cfg.M, n_occ)
-        if m_occ != n_occ:
-            raise ConfigError("M", "the perturbative interferometer needs M = N")
-        phi = _require(cfg.phi, math.pi / 3)
-        omega_a = _require(cfg.omega_a, 1.0)
-        if cfg.omega_b is not None and cfg.eps is not None:
-            raise ConfigError("eps", "give either eps or omega_b, not both")
-        if cfg.omega_b is not None:
-            omega_b = cfg.omega_b
-            eps = (omega_b - omega_a) / omega_a
-            omega_b_key = "omega_b"
-        else:
-            eps = _require(cfg.eps, 1e-3)
-            omega_b = omega_a * (1.0 + eps)
-            omega_b_key = "eps"
-        scenario = None
-    else:  # degenerate
-        m_occ = _require(cfg.M, 2)
-        n_occ = _require(cfg.N, 1)
-        phi = _require(cfg.phi, math.pi / 3)
-        omega_a = _require(cfg.omega_a, 1.0)
-        omega_b = _require(cfg.omega_b, m_occ * omega_a / n_occ)
-        gap = n_occ * omega_b - m_occ * omega_a
-        if abs(gap) > 1e-9 * max(m_occ * omega_a, 1.0):
-            raise ConfigError(
-                "omega_b",
-                f"arm energies differ by {gap:g}; the degenerate scenario "
-                "needs M omega_a = N omega_b",
-            )
-        eps = 0.0
-        scenario = None
-        omega_b_key = "omega_b"
-    if m_occ < 1 or n_occ < 1:
-        raise ConfigError("N", "occupations must be >= 1")
-    if omega_a <= 0:
-        raise ConfigError("omega_a", f"frequency must be positive, got {omega_a}")
-    if omega_b <= 0:
-        raise ConfigError(
-            omega_b_key, f"arm frequency omega_b = {omega_b:g} must be positive"
-        )
-    phi = _angle(phi, "phi")
-
-    cutoffs = cfg.cutoffs if cfg.cutoffs else (m_occ, n_occ)
-    if len(cutoffs) != 2 or cutoffs[0] < m_occ or cutoffs[1] < n_occ:
-        raise ConfigError(
-            "cutoffs", f"cutoffs {cutoffs} cannot hold ({m_occ}, {n_occ})"
-        )
-    system = ModeSystem((omega_a, omega_b), tuple(cutoffs))
-    psi = superposition(
-        system, {(m_occ, 0): math.cos(phi), (0, n_occ): math.sin(phi)}
-    )
-    dyn = effective_dynamics([(free_energies(system), psi)])
-    first = (m_occ, 0)
-    second = (0, n_occ)
-    channels = _fock_channels(system, [(0, 0), first, second])
-
-    if flavor == "degenerate":
-        p_first, p_second = cf.moon_degenerate_probabilities(phi)
-
-        def closed(t):
-            t = np.asarray(t, dtype=float)
-            ones = np.ones_like(t)
-            return {
-                _occ_label((0, 0)): 0.0 * ones,
-                _occ_label(first): p_first * ones,
-                _occ_label(second): p_second * ones,
-                "n_expect": (m_occ * p_first + n_occ * p_second) * ones,
-                "p_survival": ones,
-            }
-
-        regime = "exact"
-        analytic_tol = TOL_ANALYTIC
-        omega_osc = 0.0
-        t_default = 50.0
-        extra = {"eps": 0.0}
+def _assemble(cfg: ScenarioConfig) -> _Prepared:
+    """Register, state, factored generator, channels and closed form of the
+    configured scenario, from its row of :data:`SCENARIOS`."""
+    spec = SCENARIOS[cfg.scenario]
+    if "E0" not in spec.keys and cfg.E0 != 0.0:
+        raise ConfigError("E0", f"{cfg.scenario} assumes a zero ground energy")
+    values = _read(cfg, spec)
+    model = spec.build(values)
+    cutoffs = values["cutoffs"]
+    for occ in model.channels or ():
+        for i, (o, c) in enumerate(zip(occ, cutoffs)):
+            if o > c:
+                raise ConfigError(
+                    "cutoffs", f"cutoff {c} of mode {i} cannot hold occupation {o}"
+                )
+    system = ModeSystem(model.omega, cutoffs)
+    psi = superposition(system, model.terms)
+    if model.mode_terms is None:
+        energies = free_energies(system)
+        energies[0] += cfg.E0  # the ground level sits at E0
+        factors = [(energies, psi)]
     else:
-        params = cf.MoonParams(
-            m_occ=m_occ, n_occ=n_occ, phi=phi, omega_a=omega_a, omega_b=omega_b
-        )
-        if flavor == "gravitational":
-            closed_pair = lambda t: cf.gravitational_probabilities(scenario, t)
-        else:
-            closed_pair = lambda t: cf.moon_perturbative_probabilities(params, t)
+        factors = []
+        for w, c, terms in zip(model.omega, cutoffs, model.mode_terms):
+            sub = ModeSystem((w,), (c,))
+            factors.append((free_energies(sub), superposition(sub, terms)))
+    dyn = effective_dynamics(factors)
 
-        def closed(t):
-            t = np.asarray(t, dtype=float)
-            pf, ps = closed_pair(t)
-            return {
-                _occ_label((0, 0)): np.zeros_like(t),
-                _occ_label(first): pf,
-                _occ_label(second): ps,
-                "n_expect": m_occ * pf + n_occ * ps,
-                "p_survival": np.ones_like(t),
-            }
-
-        regime = "perturbative"
-        period = 2.0 * math.pi / (n_occ * omega_a)
-        t_default = 2.0 * period
-        horizon = _require(cfg.t_max, t_default)
-        analytic_tol = (
-            PERT_RESIDUAL_COEFF * eps**2 * max(1.0, horizon / period) + 1e-12
-        )
-        omega_osc = n_occ * omega_a
-        extra = {"eps": eps}
-        if scenario is not None:
-            extra["asymmetry_closed_form"] = scenario.asymmetry
-
-    return _Prepared(
-        system=system,
-        psi0=psi,
-        dyn=dyn,
-        channels=channels,
-        closed_channels=closed,
-        regime=regime,
-        t_max=_require(cfg.t_max, t_default),
-        omega_osc=omega_osc,
-        analytic_tol=analytic_tol,
-        summary_extra=extra,
-        partition_b_modes=(1,),
-    )
-
-
-def _custom_state(cfg: ScenarioConfig) -> _Prepared:
-    if cfg.amplitudes is None:
-        raise ConfigError("amplitudes", "custom-state needs explicit amplitudes")
-    if not cfg.cutoffs:
-        raise ConfigError("cutoffs", "custom-state needs explicit cutoffs")
-    if not cfg.omega:
-        raise ConfigError("omega", "custom-state needs one frequency per mode")
-    if len(cfg.omega) != len(cfg.cutoffs):
-        raise ConfigError(
-            "omega",
-            f"{len(cfg.omega)} frequencies for {len(cfg.cutoffs)} cutoffs",
-        )
-    if min(cfg.cutoffs) < 1:
-        raise ConfigError("cutoffs", f"every cutoff must be >= 1, got {cfg.cutoffs}")
-    if min(cfg.omega) <= 0:
-        raise ConfigError("omega", f"frequencies must be positive, got {cfg.omega}")
-    system = ModeSystem(cfg.omega, cfg.cutoffs)
-    if len(cfg.amplitudes) != system.dimension:
-        raise ConfigError(
-            "amplitudes",
-            f"expected {system.dimension} amplitudes for this basis, "
-            f"got {len(cfg.amplitudes)}",
-        )
-    try:
-        psi = Ket(cfg.amplitudes)
-    except ValueError as exc:  # all amplitudes zero
-        raise ConfigError("amplitudes", str(exc)) from None
-    dyn = effective_dynamics([(_ground_offset_energies(system, cfg.E0), psi)])
-
-    # the vacuum and every basis vector the state occupies; the rest of the
-    # basis, if any, is read as one channel p_other
-    support = np.union1d([0], np.flatnonzero(np.abs(psi.amplitudes) > 1e-12))
-    channels = {_occ_label(occupations_of(system, k)): [k] for k in support}
-    rest = np.setdiff1d(np.arange(system.dimension), support)
-    if rest.size:
+    occupations, rest = model.channels, ()
+    if occupations is None:
+        support = np.union1d([0], np.flatnonzero(np.abs(psi.amplitudes) > 1e-12))
+        occupations = [occupations_of(system, k) for k in support]
+        rest = np.setdiff1d(np.arange(system.dimension), support)
+    labels = ["p_" + "_".join(str(o) for o in occ) for occ in occupations]
+    channels = {
+        name: [flat_index(system, occ)] for name, occ in zip(labels, occupations)
+    }
+    if len(rest):
         channels["p_other"] = rest
 
-    omega_osc = cf.oscillation_frequency(dynamics_theta(dyn), dyn.energy_gap)
-    part_b = tuple(range(1, system.modes)) if system.modes > 1 else ()
+    closed = None
+    if model.probabilities is not None:
+
+        def closed(t):
+            probs = model.probabilities(t)
+            out = dict(zip(labels, probs))
+            if model.number is None:
+                out["n_expect"] = sum(
+                    sum(occ) * p for occ, p in zip(occupations, probs)
+                )
+            else:
+                out["n_expect"] = model.number(t)
+            out["p_survival"] = model.survival(t) if model.survival else 1.0
+            return {
+                k: np.broadcast_to(v, t.shape).astype(float) for k, v in out.items()
+            }
+
+    omega_osc = model.omega_osc
+    if omega_osc is None:
+        omega_osc = cf.oscillation_frequency(dynamics_theta(dyn), dyn.energy_gap)
+    t_default = model.t_default
+    if t_default is None:
+        t_default = 4 * math.pi / omega_osc if omega_osc > 0 else 10.0
+    t_max = t_default if cfg.t_max is None else cfg.t_max
+    analytic_tol = TOL_ANALYTIC
+    if model.analytic_tol is not None:
+        analytic_tol = model.analytic_tol(t_max)
     return _Prepared(
         system=system,
         psi0=psi,
         dyn=dyn,
         channels=channels,
-        closed_channels=None,
-        regime="none",
-        t_max=_require(cfg.t_max, 4 * math.pi / omega_osc if omega_osc > 0 else 10.0),
+        closed_channels=closed,
+        t_max=t_max,
         omega_osc=omega_osc,
-        analytic_tol=TOL_ANALYTIC,
-        partition_b_modes=part_b,
+        analytic_tol=analytic_tol,
+        summary_extra=model.extra,
     )
-
-
-def _prepare(cfg: ScenarioConfig) -> _Prepared:
-    name = cfg.scenario
-    if name == "single-mode-superposition":
-        return _single_mode(cfg, eigenstate=False)
-    if name == "single-eigenstate":
-        return _single_mode(cfg, eigenstate=True)
-    if name == "two-mode-separable":
-        n = _require(cfg.n, 2)
-        m = _require(cfg.m, 3)
-        omega_a = _require(cfg.omega_a, 1.0)
-        omega_b = _require(cfg.omega_b, math.sqrt(2.0))
-        return _product_modes(cfg, (n, m), (omega_a, omega_b))
-    if name == "multimode-product":
-        ns = cfg.ns if cfg.ns else (1, 1, 1)
-        omegas = cfg.omega if cfg.omega else tuple(
-            1.0 + 0.5 * i for i in range(len(ns))
-        )
-        if len(omegas) != len(ns):
-            raise ConfigError(
-                "omega", f"{len(omegas)} frequencies for {len(ns)} occupations"
-            )
-        return _product_modes(cfg, ns, omegas)
-    if name == "entangled-noon":
-        return _entangled_pair(cfg)
-    if name == "moon-degenerate":
-        return _moon(cfg, "degenerate")
-    if name == "moon-perturbative":
-        return _moon(cfg, "perturbative")
-    if name == "gravitational-mzi":
-        return _moon(cfg, "gravitational")
-    if name == "custom-state":
-        return _custom_state(cfg)
-    raise ConfigError("scenario", f"unhandled scenario {name!r}")
 
 
 # --------------------------------------------------------------------------
@@ -712,7 +675,7 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
     the config disagree beyond the scenario tolerance.
     """
     cfg = cfg.validated()
-    prep = _prepare(cfg)
+    prep = _assemble(cfg)
     t_grid = np.linspace(0.0, prep.t_max, cfg.steps)
     occupations = occupation_counts(prep.system)
 
@@ -722,17 +685,13 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
             "engine", f"scenario {cfg.scenario!r} has no closed-form route"
         )
 
-    exponential = None
-    analytic = None
-    rk4 = None
+    routes = {}
     if engine in ("exponential", "all"):
-        exponential = _exponential_channels(prep, t_grid, occupations)
+        routes["exponential"] = _exponential_channels(prep, t_grid, occupations)
     if engine in ("analytic", "all") and prep.closed_channels is not None:
-        analytic = prep.closed_channels(t_grid)
-        analytic = {k: np.broadcast_to(v, t_grid.shape).astype(float)
-                    for k, v in analytic.items()}
+        routes["analytic"] = prep.closed_channels(t_grid)
     if engine in ("rk4", "all"):
-        rk4 = rk4_expectation_series(
+        routes["rk4"] = rk4_expectation_series(
             prep.dyn,
             prep.psi0,
             prep.channels,
@@ -741,20 +700,13 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
             survival=True,
             omega_max=max(prep.system.omega),
         )
-    if engine == "exponential":
-        primary = exponential
-    elif engine == "analytic":
-        primary = analytic
-    elif engine == "rk4":
-        primary = rk4
-    else:
-        primary = exponential
+    primary = routes["exponential" if engine == "all" else engine]
 
     peaks = {}
-    if analytic is not None and exponential is not None:
-        peaks["analytic_vs_exponential"] = _peak_residual(analytic, exponential)
-    if rk4 is not None and exponential is not None:
-        peaks["exponential_vs_rk4"] = _peak_residual(rk4, exponential)
+    for pair, checked in (("analytic_vs_exponential", "analytic"),
+                          ("exponential_vs_rk4", "rk4")):
+        if checked in routes and "exponential" in routes:
+            peaks[pair] = _peak_residual(routes[checked], routes["exponential"])
     residuals = {pair: value for pair, (value, _, _) in peaks.items()}
     max_residual = max(residuals.values(), default=0.0)
 
@@ -765,10 +717,8 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
 
     if cfg.comparison:
         std = _standard_channels(prep, t_grid, occupations)
-        for name, values in std.items():
-            channels[name] = values
-        probability_channels |= {"std_" + n for n in prob_names}
-        probability_channels.add("std_p_survival")
+        channels.update(std)
+        probability_channels |= {"std_" + n for n in prob_names + ["p_survival"]}
         partitions.append(tuple("std_" + n for n in prob_names))
         for name in prob_names + ["p_survival", "n_expect"]:
             channels["delta_" + name] = channels[name] - std["std_" + name]
@@ -791,16 +741,10 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
             "shorten t_max or choose engine exponential"
         ) from None
 
-    coherence = l1_coherence(prep.psi0)
     neg = None
     if prep.system.modes >= 2:
-        part = BipartitionSpec(
-            subsystem_a=tuple(
-                i for i in range(prep.system.modes)
-                if i not in prep.partition_b_modes
-            ),
-            subsystem_b=prep.partition_b_modes or (prep.system.modes - 1,),
-        )
+        # mode 0 against the rest of the register
+        part = BipartitionSpec((0,), tuple(range(1, prep.system.modes)))
         neg = negativity(prep.psi0, prep.system, part)
 
     summary = {
@@ -812,7 +756,7 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
         "theta": dynamics_theta(prep.dyn),
         "energy_gap": prep.dyn.energy_gap,
         "omega_osc": prep.omega_osc,
-        "coherence": coherence,
+        "coherence": l1_coherence(prep.psi0),
         "negativity": neg,
         "residuals": residuals,
         "max_cross_engine_residual": max_residual,
@@ -892,14 +836,5 @@ def sweep(cfg: ScenarioConfig, parameter: str, values):
     for value in values:
         value = _coerce(parameter, value)
         _, summary = run_scenario(replace(cfg, **{parameter: value}), strict=True)
-        rows.append(
-            {
-                parameter: value,
-                "omega_osc": summary["omega_osc"],
-                "energy_gap": summary["energy_gap"],
-                "coherence": summary["coherence"],
-                "negativity": summary["negativity"],
-                "max_cross_engine_residual": summary["max_cross_engine_residual"],
-            }
-        )
+        rows.append({parameter: value, **{k: summary[k] for k in SWEEP_COLUMNS}})
     return rows

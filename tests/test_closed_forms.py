@@ -10,7 +10,6 @@ from ergodyn import (
     balanced_superposition_probabilities,
     detuning_response,
     effective_hamiltonian,
-    first_order_dyson,
     fock_ket,
     free_hamiltonian,
     gravitational_probabilities,
@@ -28,6 +27,7 @@ from ergodyn import (
     two_level_probabilities,
     two_level_survival,
 )
+from oracles import first_order_dyson
 
 T = np.linspace(0.0, 18.0, 181)
 

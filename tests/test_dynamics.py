@@ -10,13 +10,11 @@ from ergodyn import (
     Ket,
     ModeSystem,
     Operator,
-    block_probabilities,
     decompose_against_ground,
     effective_dynamics,
     effective_hamiltonian,
     evolve_probabilities,
     expanded_generator,
-    first_order_dyson,
     flat_index,
     fock_ket,
     free_energies,
@@ -27,7 +25,6 @@ from ergodyn import (
     projector,
     propagator,
     rk4_expectation_series,
-    subspace_generator,
     superposition,
     survival_probability,
     tensor,
@@ -42,7 +39,8 @@ from ergodyn.dynamics import (
     _projected_block,
     read_channels,
 )
-from ergodyn.scenarios import TOL_RK4, _prepare, load_config, run_scenario
+from ergodyn.scenarios import TOL_RK4, _assemble, load_config, run_scenario
+from oracles import block_probabilities, first_order_dyson, subspace_generator
 
 
 def whole_register(sys_, psi):
@@ -364,7 +362,7 @@ def test_rk4_matches_exponential_on_random_custom_states(cutoffs, data):
             "amplitudes": ",".join(map(repr, amps.tolist())),
         },
     )
-    prep = _prepare(cfg)
+    prep = _assemble(cfg)
     occupations = occupation_counts(sys_)
     t = np.linspace(0.0, 6.0, 25)
     got = rk4_expectation_series(
@@ -463,7 +461,7 @@ def test_index_readout_matches_dense_projectors(cutoffs, data):
             "amplitudes": ",".join(map(repr, amps)),
         },
     )
-    prep = _prepare(cfg)
+    prep = _assemble(cfg)
     states = _evolved_states(
         prep.dyn.dense(), prep.psi0.amplitudes, np.linspace(0.0, 5.0, 7)
     )
@@ -644,7 +642,7 @@ def test_reduced_route_matches_dense_on_custom_states(cutoffs, full, seed, data)
             "amplitudes": ",".join(map(repr, amps.tolist())),
         },
     )
-    prep = _prepare(cfg)
+    prep = _assemble(cfg)
     _assert_reduced_matches_dense(prep, passive_unitary_for(prep.psi0, sys_))
 
 
@@ -665,7 +663,7 @@ def test_reduced_route_matches_dense_on_products(modes, data):
             "omega": ",".join(map(repr, omega)),
         },
     )
-    prep = _prepare(cfg)
+    prep = _assemble(cfg)
     u_p = None
     for n, w, c in zip(ns, omega, cutoffs):
         sub = ModeSystem((w,), (c,))

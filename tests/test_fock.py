@@ -10,10 +10,9 @@ from ergodyn import (
     fock_ket,
     free_hamiltonian,
     identity_operator,
-    number_operator,
+    occupation_counts,
     occupations_of,
     projector,
-    superposition,
     tensor,
     vacuum_ket,
 )
@@ -87,18 +86,6 @@ def test_free_hamiltonian_eigenvalue_is_weighted_occupation():
             )
 
 
-def test_number_operator_values():
-    sys_ = ModeSystem((1.0,), (4,))
-    nop = number_operator(sys_)
-    assert nop.expectation(vacuum_ket(sys_)) == 0
-    half = superposition(sys_, {(0,): 1.0, (3,): 1.0})
-    assert nop.expectation(half).real == pytest.approx(1.5, abs=1e-12)
-    two = ModeSystem((1.0, 1.0), (2, 3))
-    assert number_operator(two).expectation(fock_ket(two, (2, 3))).real == (
-        pytest.approx(5.0, abs=1e-12)
-    )
-
-
 def test_fock_ket_out_of_range():
     sys_ = ModeSystem((1.0,), (2,))
     with pytest.raises(ValueError):
@@ -143,7 +130,7 @@ def test_tensor_associative_and_dimension():
 def test_commuting_diagonals():
     sys_ = ModeSystem((1.1, 2.2), (2, 2))
     h = free_hamiltonian(sys_).matrix
-    n = number_operator(sys_).matrix
+    n = np.diag(occupation_counts(sys_))
     np.testing.assert_array_equal(h @ n, n @ h)
 
 

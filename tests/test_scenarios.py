@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import re
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodyn.cli import main
 from ergodyn.dynamics import TimeSeries
@@ -16,7 +22,10 @@ from ergodyn.emit import (
 )
 from ergodyn.errors import ConfigError, EngineDisagreementError
 from ergodyn.scenarios import (
+    _SCHEMA,
+    SCENARIOS,
     ScenarioConfig,
+    _assemble,
     load_config,
     parse_config_text,
     run_scenario,
@@ -92,6 +101,21 @@ def test_config_field_level_errors():
     ):
         with pytest.raises(ConfigError) as err:
             run("moon-perturbative", **{key: value})
+        assert err.value.field == key
+    for name, key, value in (
+        ("entangled-noon", "m", "0"),
+        ("entangled-noon", "omega_b", "-1"),
+        ("moon-degenerate", "M", "0"),
+        ("moon-degenerate", "N", "0"),
+        ("two-mode-separable", "m", "0"),
+        ("two-mode-separable", "omega_b", "-1"),
+        ("single-mode-superposition", "cutoffs", "5,3"),
+        ("single-mode-superposition", "omega", "1,2"),
+        ("moon-perturbative", "omega_b", "1.5"),
+        ("multimode-product", "base_omega", "0"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            run(name, **{key: value})
         assert err.value.field == key
     for key, value in (
         ("steps", "2.5"),
@@ -419,6 +443,14 @@ def test_cli_validation_error_exit_code(monkeypatch, capsys):
         (["--steps", "100000000"], "steps"),
         (["--scenario", "moon-perturbative", "--eps", "-1"], "eps"),
         (["--scenario", "moon-perturbative", "--omega_b", "-0.5"], "omega_b"),
+        (["--scenario", "entangled-noon", "--m", "0"], "m"),
+        (["--scenario", "entangled-noon", "--omega_b", "-1"], "omega_b"),
+        (["--scenario", "moon-degenerate", "--M", "0"], "M"),
+        (["--scenario", "two-mode-separable", "--m", "0"], "m"),
+        (["--scenario", "two-mode-separable", "--omega_b", "-1"], "omega_b"),
+        (["--scenario", "moon-degenerate", "--N", "0"], "N"),
+        (["--cutoffs", "5,3"], "cutoffs"),
+        (["--omega", "1,2"], "omega"),
     ):
         assert main(["run", "--engine", "exponential", *args]) == 2
         err = capsys.readouterr().err
@@ -427,6 +459,78 @@ def test_cli_validation_error_exit_code(monkeypatch, capsys):
     monkeypatch.setenv("ERGODYN_DIM_CAP", "abc")
     assert main(["run", "--engine", "exponential"]) == 2
     assert "ERGODYN_DIM_CAP" in capsys.readouterr().err
+
+
+#: a valid base config for the scenarios that need explicit keys
+BASE = {"custom-state": {"cutoffs": "1", "omega": "1.0", "amplitudes": "1,1"}}
+
+
+def _bad_values():
+    """(scenario, key, bad value) for every integer and frequency key each
+    scenario reads; a list key gets the bad entry once per mode."""
+    for name, spec in SCENARIOS.items():
+        base = load_config(None, {"scenario": name, **BASE.get(name, {})})
+        modes = _assemble(base).system.modes
+        for key in spec.keys:
+            kind, is_list = _SCHEMA[key]
+            if kind is int:
+                bad = ["0", "-1"]
+            elif key.startswith("omega") or key == "base_omega":
+                bad = ["0", "-1.5"]
+            else:
+                continue
+            for value in bad:
+                if is_list and key != spec.modes:
+                    value = ",".join([value] * modes)
+                yield name, key, value
+
+
+@pytest.mark.parametrize("name,key,value", list(_bad_values()))
+def test_every_bad_scenario_key_is_named(name, key, value, capsys):
+    args = [f"--{k}={v}" for k, v in {**BASE.get(name, {}), key: value}.items()]
+    assert main(["run", "--engine", "exponential", "--scenario", name, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error in {key}:")
+    assert "Traceback" not in err
+
+
+FIELDS = {f.name for f in fields(ScenarioConfig)}
+INTS = st.integers(-2, 6).map(str)
+FREQUENCIES = st.sampled_from(["0", "-1", "1e6", "0.3", "1", "1.7", "2.5"])
+
+
+@st.composite
+def _override_sets(draw):
+    """A scenario with a random subset of the keys it reads set to random
+    integers, frequencies or lists of one to three of them."""
+    name = draw(st.sampled_from(sorted(SCENARIOS)))
+    overrides = dict(BASE.get(name, {}))
+    for key in draw(st.lists(st.sampled_from(list(SCENARIOS[name].keys)), unique=True)):
+        kind, is_list = _SCHEMA[key]
+        entry = INTS if kind is int else FREQUENCIES if kind is float else None
+        if entry is None:
+            continue
+        overrides[key] = (
+            ",".join(draw(st.lists(entry, min_size=1, max_size=3)))
+            if is_list else draw(entry)
+        )
+    return name, overrides
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_override_sets())
+def test_cli_never_leaves_a_traceback(case):
+    name, overrides = case
+    args = [f"--{key}={value}" for key, value in overrides.items()]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--engine", "exponential", "--steps", "11",
+                     "--scenario", name, *args])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        named = re.match(r"configuration error in (\w+):", err.getvalue())
+        assert named and named.group(1) in FIELDS, err.getvalue()
 
 
 def test_cli_compare_adds_channels(tmp_path):
