@@ -33,7 +33,6 @@ from .dynamics import (
 from .errors import (
     ConfigError,
     DegenerateSpectrumError,
-    DimensionCapError,
     EngineDisagreementError,
     ErgodynError,
     GridError,

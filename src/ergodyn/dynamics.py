@@ -15,15 +15,18 @@ invariant subspace: an at most 3x3 Hermitian block per factor, so the
 propagator stays unitary at machine precision for every t and no N x N
 array is formed.
 
-Two independent numerical routes are provided, the exact exponential and
-classical RK4 stepping of the state; the scenarios cross-check them against
-each other and against the closed forms.  The dense conjugation
-H - U_p^dag H U_p with its eigendecomposition is kept as the oracle of the
-exponential route.
+Two independent numerical routes share that propagation core and differ
+only in the flow of each block: the exact exponential from the block's
+eigendecomposition, and classical RK4 stepping, whose step polynomial is
+powered on the block with no eigensolver.  The scenarios cross-check them
+against each other and against the closed forms.  The dense conjugation
+H - U_p^dag H U_p with its eigendecomposition is kept as the oracle of
+both.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +58,22 @@ RK4_STEPS_PER_PERIOD = 2000
 RK4_DRIFT_TOL = 1e-6
 
 
+def _hermitian_part(mat: np.ndarray, dim: int, scale: float) -> np.ndarray:
+    """(A + A^dag) / 2 of a generator matrix A on a ``dim``-dimensional space.
+
+    Raises ValueError when A is not Hermitian, or not traceless, as a
+    conjugation difference must be.
+    """
+    dev = np.abs(mat - mat.conj().T).max()
+    if dev > HERMITICITY_TOL * scale:
+        raise ValueError(f"generator not Hermitian: max deviation {dev:g}")
+    mat = (mat + mat.conj().T) / 2.0
+    trace = abs(np.trace(mat))
+    if trace > 1e-10 * dim * scale:
+        raise ValueError(f"generator trace {trace:g} not zero")
+    return mat
+
+
 def _projected_block(apply, basis: np.ndarray, scale: float) -> np.ndarray:
     """A = Q^dag H_eff Q for an orthonormal basis Q of an invariant subspace.
 
@@ -62,18 +81,10 @@ def _projected_block(apply, basis: np.ndarray, scale: float) -> np.ndarray:
     Hermitian or not traceless, or when H_eff moves Q out of its own span.
     """
     moved = apply(basis)
-    block = basis.conj().T @ moved
-    dev = np.abs(block - block.conj().T).max()
-    if dev > HERMITICITY_TOL * scale:
-        raise ValueError(f"generator not Hermitian: max deviation {dev:g}")
-    block = (block + block.conj().T) / 2.0
+    block = _hermitian_part(basis.conj().T @ moved, basis.shape[0], scale)
     leak = np.linalg.norm(moved - basis @ block)
     if leak > LEAKAGE_TOL * scale:
         raise ValueError(f"generator leaks out of its invariant subspace: {leak:g}")
-    # conjugation preserves the trace, so the generator is traceless
-    trace = abs(np.trace(block))
-    if trace > 1e-10 * basis.shape[0] * scale:
-        raise ValueError(f"generator trace {trace:g} not zero")
     return block
 
 
@@ -168,7 +179,7 @@ class EffectiveDynamics:
 
     def dense(self) -> np.ndarray:
         """The N x N generator, the Kronecker sum of the factors' generators
-        (RK4 and the oracles only)."""
+        (oracles only)."""
         out = None
         for f in self.factors:
             local = f.apply(np.eye(f.dimension))
@@ -222,17 +233,9 @@ def effective_hamiltonian(hamiltonian: Operator, passive_unitary: Operator) -> O
     u = passive_unitary.matrix
     if h.shape != u.shape:
         raise ValueError(f"dimension mismatch: H {h.shape}, U_p {u.shape}")
-    h_eff = h - u.conj().T @ h @ u
-    # conjugation preserves the trace, so the generator is traceless
-    dim = h.shape[0]
-    scale = max(np.abs(h).max(), 1.0)
-    dev = np.abs(h_eff - h_eff.conj().T).max()
-    if dev > HERMITICITY_TOL * scale:
-        raise ValueError(f"generator not Hermitian: max deviation {dev:g}")
-    h_eff = (h_eff + h_eff.conj().T) / 2.0
-    trace = abs(np.trace(h_eff))
-    if trace > 1e-10 * dim * scale:
-        raise ValueError(f"generator trace {trace:g} not zero")
+    h_eff = _hermitian_part(
+        h - u.conj().T @ h @ u, h.shape[0], max(np.abs(h).max(), 1.0)
+    )
     return Operator(h_eff, hermitian_hint=True)
 
 
@@ -294,13 +297,40 @@ def _evolved_states(generator_matrix: np.ndarray, psi0: np.ndarray, t_grid):
     return evecs @ (phases * modes[:, None])
 
 
-def _reduced_states(dyn: EffectiveDynamics, psi0: np.ndarray, t_grid) -> np.ndarray:
+def _exponential_flow(f: _Factor, t: np.ndarray):
+    """Exact flow of a factor's block: in the eigenbasis P = Q V of the
+    block, exp(-i L t) - 1, one phase per column of P and time."""
+    evals, evecs = np.linalg.eigh(f.block)
+    return f.basis @ evecs, np.expm1(-1j * np.outer(evals, t))
+
+
+def _rk4_flow(f: _Factor, t: np.ndarray, h: float, substeps: int):
+    """RK4 flow of a factor's block in the basis Q: S^k - 1 at the k-th grid
+    time, for S the ``substeps``-th power of one step, the degree-4 Taylor
+    polynomial of x = -i h A.  The powers S^k are stacked by doubling."""
+    x = -1j * h * f.block
+    eye = np.eye(len(x))
+    step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
+    power = np.linalg.matrix_power(step, substeps)
+    stack = eye[None]
+    while len(stack) < t.size:
+        stack = np.concatenate([stack, stack @ power])
+        power = power @ power
+    return f.basis, stack[: t.size] - eye
+
+
+def _reduced_states(
+    dyn: EffectiveDynamics, psi0: np.ndarray, t_grid, block_flow=_exponential_flow
+) -> np.ndarray:
     """Columns psi(t) for all grid times, propagated factor by factor.
 
-    Along the modes of each factor, psi(t) = Q V exp(-i L t) V^dag Q^dag psi
-    + (psi - Q Q^dag psi), with V, L the eigenvectors and eigenvalues of
-    the factor's block; the part left out of Q must be frozen, which one
-    application of H_eff checks (ValueError otherwise).  O(N T) per factor.
+    Along the modes of each factor, psi(t) = psi + P F(t) P^dag psi, where
+    ``block_flow(factor, t)`` gives the basis P of the factor's invariant
+    subspace and F(t) + 1, the flow of its block: one phase per column of P
+    and time when F is diagonal (an array of shape (columns, T)), otherwise
+    one matrix per time (shape (T, columns, columns)).  The part of psi left
+    out of P must be frozen, which one application of H_eff checks
+    (ValueError otherwise).  O(N T) per factor.
     """
     t = np.asarray(t_grid, dtype=float)
     dims = [f.dimension for f in dyn.factors]
@@ -316,13 +346,13 @@ def _reduced_states(dyn: EffectiveDynamics, psi0: np.ndarray, t_grid) -> np.ndar
             raise ValueError(
                 f"state part outside the invariant subspace moves: {moved:g}"
             )
-        evals, evecs = np.linalg.eigh(f.block)
-        # in the eigenbasis P = Q V of the block the flow is diagonal:
-        # psi <- psi + P (exp(-i L t) - 1) P^dag psi
-        p = q @ evecs
+        p, flow = block_flow(f, t)
         view = states.reshape(left, dims[i], -1)
         coeffs = (p.conj().T @ view).reshape(left, p.shape[1], -1, t.size)
-        coeffs *= np.expm1(-1j * np.outer(evals, t))[:, None, :]
+        if flow.ndim == 2:
+            coeffs *= flow[:, None, :]
+        else:
+            coeffs = np.einsum("tij,ljkt->likt", flow, coeffs)
         view += p @ coeffs.reshape(left, p.shape[1], -1)
     return states
 
@@ -348,31 +378,10 @@ def default_rk4_step(dyn: EffectiveDynamics, omega_max: float = 0.0) -> float:
     """Default integrator step: one 2000th of the fastest oscillation period."""
     omega_osc = max(abs(dyn.mixing_sine * dyn.energy_gap), float(omega_max))
     if omega_osc <= 0.0:
-        # static generator: any step works; normalize on the generator norm
-        scale = np.abs(dyn.dense()).max()
+        # static generator: any step works; normalize on the largest block entry
+        scale = max(np.abs(f.block).max() for f in dyn.factors)
         omega_osc = scale if scale > 0 else 1.0
     return (2.0 * np.pi / omega_osc) / RK4_STEPS_PER_PERIOD
-
-
-def _rk4_grid(t_grid) -> tuple[np.ndarray, float]:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise GridError("time grid must contain at least two points")
-    dt = np.diff(t)
-    if np.abs(dt - dt[0]).max() > 1e-9 * abs(dt[0]):
-        raise GridError("time grid must be uniform")
-    return t, float(dt[0])
-
-
-def _rk4_substeps(
-    dyn: EffectiveDynamics, dt: float, substeps: int | None, omega_max: float
-) -> int:
-    if substeps is None:
-        h_default = default_rk4_step(dyn, omega_max=omega_max)
-        substeps = max(1, int(np.ceil(dt / h_default)))
-    if substeps < 1:
-        raise GridError(f"substeps must be >= 1, got {substeps}")
-    return substeps
 
 
 def rk4_expectation_series(
@@ -388,26 +397,28 @@ def rk4_expectation_series(
     """RK4 route for the channels of :func:`read_channels`.
 
     Classical RK4 on d psi/dt = -i H_eff psi.  For this linear equation one
-    step of size h is exactly the degree-4 Taylor polynomial
-    P = 1 + x + x^2/2 + x^3/6 + x^4/24 with x = -i h H_eff, so the
-    ``substeps`` steps between grid times are the power S = P^substeps,
-    formed once by repeated squaring; each grid time then costs one
-    matrix-vector product.  No eigendecomposition is used, so the route is
-    independent of the exponential propagator.  The exact flow conserves
-    the state norm; a drift beyond RK4_DRIFT_TOL at any grid time aborts
-    with :class:`RefinementError`.  ``survival`` adds ``p_survival``.
+    step of size h is exactly the degree-4 Taylor polynomial of
+    x = -i h H_eff, which is the identity outside the invariant subspaces,
+    so each factor's block is stepped on its own (:func:`_rk4_flow`) by the
+    propagation core of the exponential route.  No eigendecomposition is
+    used, so the route is independent of the exponential propagator.  The
+    exact flow conserves the state norm; a drift beyond RK4_DRIFT_TOL at
+    any grid time aborts with :class:`RefinementError`.  ``survival`` adds
+    ``p_survival``.
     """
-    t, dt = _rk4_grid(t_grid)
-    substeps = _rk4_substeps(dyn, dt, substeps, omega_max)
-    h = dt / substeps
-    x = -1j * h * dyn.dense()
-    eye = np.eye(dyn.dimension)
-    step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
-    power = np.linalg.matrix_power(step, substeps)
-    states = np.empty((dyn.dimension, t.size), dtype=complex)
-    states[:, 0] = psi0.amplitudes
-    for k in range(1, t.size):
-        states[:, k] = power @ states[:, k - 1]
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < 2:
+        raise GridError("time grid must contain at least two points")
+    dt = np.diff(t)
+    if np.abs(dt - dt[0]).max() > 1e-9 * abs(dt[0]):
+        raise GridError("time grid must be uniform")
+    if substeps is None:
+        substeps = max(1, int(np.ceil(dt[0] / default_rk4_step(dyn, omega_max))))
+    if substeps < 1:
+        raise GridError(f"substeps must be >= 1, got {substeps}")
+    h = float(dt[0]) / substeps
+    flow = functools.partial(_rk4_flow, h=h, substeps=substeps)
+    states = _reduced_states(dyn, psi0.amplitudes, t, flow)
     drift = np.abs(np.linalg.norm(states, axis=0) - 1.0)
     bad = np.flatnonzero(drift > RK4_DRIFT_TOL)
     if bad.size:

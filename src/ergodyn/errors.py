@@ -5,10 +5,6 @@ class ErgodynError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionCapError(ErgodynError):
-    """Requested Hilbert space exceeds the configured dimension cap."""
-
-
 class DegenerateSpectrumError(ErgodynError):
     """Passive rearrangement requested for a Hamiltonian with degenerate levels."""
 

@@ -9,31 +9,12 @@ vacuum |0...0> at flat index 0.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionCapError
-
-DEFAULT_DIMENSION_CAP = 4096
-DIMENSION_CAP_ENV = "ERGODYN_DIM_CAP"
-
 #: tolerance for hermiticity / normalization checks on construction
 ATOL = 1e-12
-
-
-def dimension_cap() -> int:
-    """Active Hilbert-space dimension cap (env override via ERGODYN_DIM_CAP)."""
-    raw = os.environ.get(DIMENSION_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DIMENSION_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            DIMENSION_CAP_ENV, f"must be an integer, got {raw!r}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -61,12 +42,6 @@ class ModeSystem:
             raise ValueError(f"mode frequencies must be positive, got {self.omega}")
         if any(c < 1 for c in self.cutoff):
             raise ValueError(f"cutoffs must be >= 1, got {self.cutoff}")
-        cap = dimension_cap()
-        if self.dimension > cap:
-            raise DimensionCapError(
-                f"total dimension {self.dimension} exceeds cap {cap} "
-                f"(override with {DIMENSION_CAP_ENV})"
-            )
 
     @property
     def modes(self) -> int:

@@ -55,6 +55,14 @@ PERT_RESIDUAL_COEFF = 8.0
 #: uniformity check of TimeSeries near 1e7 samples (1.3e-10 at 1e6)
 MAX_STEPS = 1_000_000
 
+#: most entries N x steps of the state block, for N basis states.  A run
+#: peaks near 56 bytes per entry (tracemalloc, engine all with comparison, N
+#: 1024 to 2002 at 2001 samples): under 1.7 GB, a quarter of a 7 GB machine
+MAX_STATE_ENTRIES = 30_000_000
+
+#: keys that set up the run rather than the scenario
+RUN_KEYS = ("scenario", "engine", "steps", "t_max", "comparison")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -565,9 +573,18 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
     """Register, state, factored generator, channels and closed form of the
     configured scenario, from its row of :data:`SCENARIOS`."""
     spec = SCENARIOS[cfg.scenario]
-    if "E0" not in spec.keys and cfg.E0 != 0.0:
-        raise ConfigError("E0", f"{cfg.scenario} assumes a zero ground energy")
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name not in (*RUN_KEYS, *spec.keys) and value not in (f.default, ()):
+            raise ConfigError(f.name, f"{cfg.scenario} does not read it, got {value}")
     values = _read(cfg, spec)
+    dimension = math.prod(c + 1 for c in values["cutoffs"])
+    if dimension * cfg.steps > MAX_STATE_ENTRIES:
+        raise ConfigError(
+            "cutoffs",
+            f"{dimension} basis states x {cfg.steps} samples exceed "
+            f"{MAX_STATE_ENTRIES} state entries",
+        )
     model = spec.build(values)
     cutoffs = values["cutoffs"]
     for occ in model.channels or ():

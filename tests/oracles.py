@@ -3,7 +3,8 @@
 Dense density-matrix measures, kept as oracles of the amplitude-based ones
 in ``ergodyn.measures`` and for the mixed-state measure tests; the closed
 4x4 dyad-vector system on the ground/excited plane, an oracle of the
-exponential route; and a first-order Dyson solver, the oracle of the
+exponential route; dense RK4 on the N x N generator, the oracle of the
+subspace RK4 route; and a first-order Dyson solver, the oracle of the
 perturbative interferometer formula.
 """
 
@@ -102,6 +103,24 @@ def block_probabilities(gen: SubspaceGenerator, theta: float, t_grid):
     return p_ground, p_excited
 
 
+def dense_rk4_states(dyn, psi0: Ket, t_grid, substeps: int) -> np.ndarray:
+    """Columns psi(t) from RK4 on the dense generator of ``dyn``.
+
+    One step of size h is the degree-4 Taylor polynomial of x = -i h H_eff,
+    formed in Horner form as an N x N matrix; its ``substeps``-th power
+    moves the state from one grid time to the next.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    h = (t[1] - t[0]) / substeps
+    x = -1j * h * dyn.dense()
+    eye = np.eye(dyn.dimension)
+    step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
+    power = np.linalg.matrix_power(step, substeps)
+    states = np.empty((dyn.dimension, t.size), dtype=complex)
+    states[:, 0] = psi0.amplitudes
+    for k in range(1, t.size):
+        states[:, k] = power @ states[:, k - 1]
+    return states
 
 
 def first_order_dyson(m0, m1, eps: float, t_grid) -> np.ndarray:

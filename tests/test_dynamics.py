@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +42,12 @@ from ergodyn.dynamics import (
     read_channels,
 )
 from ergodyn.scenarios import TOL_RK4, _assemble, load_config, run_scenario
-from oracles import block_probabilities, first_order_dyson, subspace_generator
+from oracles import (
+    block_probabilities,
+    dense_rk4_states,
+    first_order_dyson,
+    subspace_generator,
+)
 
 
 def whole_register(sys_, psi):
@@ -339,42 +346,111 @@ def test_rk4_rejects_overly_coarse_step():
         )
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    cutoffs=st.sampled_from([(3,), (7,), (15,), (1, 2), (3, 3), (1, 1, 1)]),
-    data=st.data(),
-)
-def test_rk4_matches_exponential_on_random_custom_states(cutoffs, data):
-    sys_ = ModeSystem((1.0, 1.7, 2.3)[: len(cutoffs)], cutoffs)
-    dim = sys_.dimension
+def _random_custom_state(cutoffs, data):
+    """Config of a custom state on ``cutoffs`` with random amplitudes on a
+    random support that leaves out at least two basis vectors."""
+    omega = (1.0, 1.7, 2.3)[: len(cutoffs)]
+    dim = math.prod(c + 1 for c in cutoffs)
     support = data.draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 2))
     amps = np.zeros(dim, dtype=complex)
     for k in support:
         amps[k] = data.draw(
             st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0), label=f"amp{k}"
         )
-    cfg = load_config(
+    return load_config(
         None,
         {
             "scenario": "custom-state",
             "cutoffs": ",".join(map(str, cutoffs)),
-            "omega": ",".join(map(str, sys_.omega)),
+            "omega": ",".join(map(str, omega)),
             "amplitudes": ",".join(map(repr, amps.tolist())),
         },
     )
-    prep = _assemble(cfg)
-    occupations = occupation_counts(sys_)
-    t = np.linspace(0.0, 6.0, 25)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    cutoffs=st.sampled_from([(3,), (7,), (15,), (1, 2), (3, 3), (1, 1, 1)]),
+    data=st.data(),
+)
+def test_rk4_matches_exponential_on_random_custom_states(cutoffs, data):
+    # each example also draws a product, whose modes RK4 steps one by one
+    ns = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    product = {"scenario": "multimode-product", "ns": ",".join(map(str, ns))}
+    for cfg in (_random_custom_state(cutoffs, data), load_config(None, product)):
+        prep = _assemble(cfg)
+        occupations = occupation_counts(prep.system)
+        t = np.linspace(0.0, 6.0, 25)
+        got = rk4_expectation_series(
+            prep.dyn, prep.psi0, prep.channels, t, occupations, survival=True,
+            omega_max=max(prep.system.omega),
+        )
+        expected = dict(
+            evolve_probabilities(
+                prep.dyn, prep.psi0, prep.channels, t, occupations
+            ).channels
+        )
+        expected.update(survival_probability(prep.dyn, prep.psi0, t).channels)
+        assert got.keys() == expected.keys()
+        assert ("p_other" in got) == (cfg.scenario == "custom-state")
+        for name, values in expected.items():
+            assert np.abs(got[name] - values).max() <= TOL_RK4, name
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    cutoffs=st.sampled_from([(3,), (7,), (1, 2), (3, 3), (1, 1, 1)]),
+    substeps=st.integers(20, 60),
+    data=st.data(),
+)
+def test_subspace_rk4_matches_dense_rk4(cutoffs, substeps, data):
+    # the same step polynomial at the same substeps, on the subspace and on
+    # the dense generator: equal up to rounding
+    prep = _assemble(_random_custom_state(cutoffs, data))
+    occupations = occupation_counts(prep.system)
+    t = np.linspace(0.0, 3.0, 13)
     got = rk4_expectation_series(
         prep.dyn, prep.psi0, prep.channels, t, occupations, survival=True,
-        omega_max=max(sys_.omega),
+        substeps=substeps,
     )
-    expected = dict(
-        evolve_probabilities(prep.dyn, prep.psi0, prep.channels, t, occupations).channels
-    )
-    expected.update(survival_probability(prep.dyn, prep.psi0, t).channels)
-    assert "p_other" in got and got.keys() == expected.keys()
+    states = dense_rk4_states(prep.dyn, prep.psi0, t, substeps)
+    expected = read_channels(states, prep.channels, occupations)
+    expected["p_survival"] = np.abs(prep.psi0.amplitudes.conj() @ states) ** 2
+    assert got.keys() == expected.keys()
     for name, values in expected.items():
+        assert np.all(
+            np.abs(got[name] - values) <= 1e-12 * np.maximum(1.0, np.abs(values))
+        ), name
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"scenario": "custom-state", "cutoffs": "3,2", "omega": "1.0,1.7",
+         "amplitudes": "0.5,0,0.3j,0,0,0,(0.2-0.4j),0,0,0,0,0.6"},
+        {"scenario": "multimode-product", "ns": "1,2,3"},
+    ],
+    ids=["single-factor", "product"],
+)
+def test_rk4_route_calls_no_eigensolver(monkeypatch, overrides):
+    prep = _assemble(load_config(None, overrides))
+    occupations = occupation_counts(prep.system)
+    t = np.linspace(0.0, 4.0, 17)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the RK4 route called an eigensolver")
+
+    with monkeypatch.context() as patch:
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            patch.setattr(np.linalg, name, refuse)
+        got = rk4_expectation_series(
+            prep.dyn, prep.psi0, prep.channels, t, occupations, survival=True,
+            omega_max=max(prep.system.omega),
+        )
+        with pytest.raises(AssertionError, match="eigensolver"):
+            evolve_probabilities(prep.dyn, prep.psi0, prep.channels, t)
+    expected = evolve_probabilities(prep.dyn, prep.psi0, prep.channels, t, occupations)
+    for name, values in expected.channels.items():
         assert np.abs(got[name] - values).max() <= TOL_RK4, name
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ergodyn import (
-    DimensionCapError,
     Ket,
     ModeSystem,
     Operator,
@@ -49,16 +48,6 @@ def test_mode_system_validation():
         ModeSystem((-1.0,), (2,))
     with pytest.raises(ValueError):
         ModeSystem((1.0,), (0,))
-
-
-def test_dimension_cap(monkeypatch):
-    with pytest.raises(DimensionCapError):
-        ModeSystem((1.0,), (5000,))
-    monkeypatch.setenv("ERGODYN_DIM_CAP", "6000")
-    assert ModeSystem((1.0,), (5000,)).dimension == 5001
-    monkeypatch.setenv("ERGODYN_DIM_CAP", "16")
-    with pytest.raises(DimensionCapError):
-        ModeSystem((1.0,), (16,))
 
 
 def test_free_hamiltonian_single_mode():

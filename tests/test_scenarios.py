@@ -23,6 +23,7 @@ from ergodyn.emit import (
 from ergodyn.errors import ConfigError, EngineDisagreementError
 from ergodyn.scenarios import (
     _SCHEMA,
+    MAX_STATE_ENTRIES,
     SCENARIOS,
     ScenarioConfig,
     _assemble,
@@ -113,6 +114,9 @@ def test_config_field_level_errors():
         ("single-mode-superposition", "omega", "1,2"),
         ("moon-perturbative", "omega_b", "1.5"),
         ("multimode-product", "base_omega", "0"),
+        ("entangled-noon", "theta", "2.5"),
+        ("single-eigenstate", "theta", "0.3"),
+        ("two-mode-separable", "E0", "1"),
     ):
         with pytest.raises(ConfigError) as err:
             run(name, **{key: value})
@@ -425,7 +429,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert json.loads(json_path.read_text())["config"]["n"] == 3
 
 
-def test_cli_validation_error_exit_code(monkeypatch, capsys):
+def test_cli_validation_error_exit_code(capsys):
     assert main(["run", "--scenario", "does-not-exist"]) == 2
     assert "configuration error" in capsys.readouterr().err
     for args, field in (
@@ -451,14 +455,14 @@ def test_cli_validation_error_exit_code(monkeypatch, capsys):
         (["--scenario", "moon-degenerate", "--N", "0"], "N"),
         (["--cutoffs", "5,3"], "cutoffs"),
         (["--omega", "1,2"], "omega"),
+        (["--scenario", "entangled-noon", "--theta", "2.5"], "theta"),
+        (["--scenario", "single-eigenstate", "--theta", "0.3"], "theta"),
+        (["--scenario", "two-mode-separable", "--E0", "1"], "E0"),
     ):
         assert main(["run", "--engine", "exponential", *args]) == 2
         err = capsys.readouterr().err
         assert f"configuration error in {field}:" in err
         assert "Traceback" not in err
-    monkeypatch.setenv("ERGODYN_DIM_CAP", "abc")
-    assert main(["run", "--engine", "exponential"]) == 2
-    assert "ERGODYN_DIM_CAP" in capsys.readouterr().err
 
 
 #: a valid base config for the scenarios that need explicit keys
@@ -606,6 +610,7 @@ def test_engine_disagreement_names_channel_and_time(monkeypatch, capsys):
     assert f"(peak in {channel} at t[{k}] = " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("engine", ["exponential", "rk4", "all"])
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -619,13 +624,13 @@ def test_engine_disagreement_names_channel_and_time(monkeypatch, capsys):
                 for k in range(4096)
             ),
         },
+        {"scenario": "single-mode-superposition", "n": "5000", "cutoffs": "5000"},
     ],
-    ids=["product-1331", "sparse-custom-4096"],
+    ids=["product-1331", "sparse-custom-4096", "single-mode-5001"],
 )
-def test_exponential_route_builds_no_dense_matrix(overrides):
+def test_run_builds_no_dense_matrix(overrides, engine):
     cfg = load_config(
-        None,
-        {"engine": "exponential", "steps": "11", "comparison": "true", **overrides},
+        None, {"engine": engine, "steps": "11", "comparison": "true", **overrides}
     )
     tracemalloc.start()
     try:
@@ -634,10 +639,29 @@ def test_exponential_route_builds_no_dense_matrix(overrides):
     finally:
         tracemalloc.stop()
     dim = summary["dimension"]
-    assert dim in (1331, 4096)
+    assert dim in (1331, 4096, 5001)
     # one complex N x N array alone would take 16 N^2 bytes
     assert peak < 16 * dim**2
-    assert summary["negativity"] is not None and len(series.times) == 11
+    assert len(series.times) == 11
+    assert (summary["negativity"] is None) == (dim == 5001)
+
+
+def test_state_size_bound_rejects_before_allocating(capsys):
+    # a 10^6-state register over 100 samples passes MAX_STATE_ENTRIES; the
+    # check comes before any amplitude vector (16 MB here) exists
+    assert 1_000_000 * 100 > MAX_STATE_ENTRIES
+    tracemalloc.start()
+    try:
+        code = main(["run", "--n", "999999", "--steps", "100"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error in cutoffs:")
+    assert "1000001 basis states x 100 samples" in err
+    assert "Traceback" not in err
+    assert peak < 1_000_000
 
 
 def test_cli_long_rk4_horizon_fails_cleanly(capsys):
