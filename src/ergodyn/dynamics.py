@@ -404,11 +404,15 @@ def rk4_expectation_series(
     used, so the route is independent of the exponential propagator.  The
     exact flow conserves the state norm; a drift beyond RK4_DRIFT_TOL at
     any grid time aborts with :class:`RefinementError`.  ``survival`` adds
-    ``p_survival``.
+    ``p_survival``.  ``psi0`` is the state at t = 0, as for the exponential
+    route, and the steps start there, so the grid must begin at 0
+    (:class:`GridError` otherwise).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise GridError("time grid must contain at least two points")
+    if t[0] != 0.0:
+        raise GridError(f"RK4 grid must start at t = 0, got t[0] = {t[0]:g}")
     dt = np.diff(t)
     if np.abs(dt - dt[0]).max() > 1e-9 * abs(dt[0]):
         raise GridError("time grid must be uniform")

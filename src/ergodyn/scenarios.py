@@ -55,10 +55,13 @@ PERT_RESIDUAL_COEFF = 8.0
 #: uniformity check of TimeSeries near 1e7 samples (1.3e-10 at 1e6)
 MAX_STEPS = 1_000_000
 
-#: most entries N x steps of the state block, for N basis states.  A run
-#: peaks near 56 bytes per entry (tracemalloc, engine all with comparison, N
-#: 1024 to 2002 at 2001 samples): under 1.7 GB, a quarter of a 7 GB machine
-MAX_STATE_ENTRIES = 30_000_000
+#: most entries (N + C) x steps per run, for N basis states and C series
+#: columns: the state block and the channel table.  A run peaks at 56 bytes
+#: per entry or less (tracemalloc, engine all, run and compare with CSV: N
+#: 216 to 2002 with up to 1543 columns at 2001 samples, and the default
+#: registers at 1e5 samples): under 2.3 GB, below a third of an 8 GB machine.
+#: Every default scenario fits at MAX_STEPS under run.
+MAX_RUN_ENTRIES = 40_000_000
 
 #: keys that set up the run rather than the scenario
 RUN_KEYS = ("scenario", "engine", "steps", "t_max", "comparison")
@@ -228,6 +231,13 @@ class _Model:
     # horizon -> closed-form tolerance; None: TOL_ANALYTIC
     analytic_tol: typing.Callable | None = None
     extra: dict = field(default_factory=dict)  # summary entries
+    # final channels -> more summary entries; None: there are none
+    readout: typing.Callable | None = None
+
+
+def _label(occ) -> str:
+    """Channel name of an occupation tuple: p_<n0>_<n1>..."""
+    return "p_" + "_".join(str(o) for o in occ)
 
 
 def _single_mode(v: dict) -> _Model:
@@ -385,11 +395,19 @@ def _gravitational(v: dict) -> _Model:
         n_occ=n_occ,
     )
     eps = -scenario.relative_shift
-    return _first_order(
+    model = _first_order(
         "r_S", n_occ, math.pi / 4, omega_0, omega_0 * (1.0 + eps), eps,
         lambda params, t: cf.gravitational_probabilities(scenario, t),
         {"asymmetry_closed_form": scenario.asymmetry},
     )
+    first, second = (_label(occ) for occ in model.channels[1:])
+
+    def asymmetry(channels):
+        return {
+            "asymmetry_amplitude": float(np.max(channels[first] - channels[second]))
+        }
+
+    return replace(model, readout=asymmetry)
 
 
 def _custom_state(v: dict) -> _Model:
@@ -563,6 +581,7 @@ class _Prepared:
     omega_osc: float
     analytic_tol: float
     summary_extra: dict
+    readout: object  # callable final channels -> summary entries, or None
 
 
 def dynamics_theta(dyn: EffectiveDynamics) -> float:
@@ -578,14 +597,18 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
         if f.name not in (*RUN_KEYS, *spec.keys) and value not in (f.default, ()):
             raise ConfigError(f.name, f"{cfg.scenario} does not read it, got {value}")
     values = _read(cfg, spec)
+    model = spec.build(values)
     dimension = math.prod(c + 1 for c in values["cutoffs"])
-    if dimension * cfg.steps > MAX_STATE_ENTRIES:
+    # t, then each channel with n_expect and p_survival, thrice when compared;
+    # a custom state reads at most its terms, the vacuum and p_other
+    read = len(model.terms) + 2 if model.channels is None else len(model.channels)
+    columns = 1 + (read + 2) * (3 if cfg.comparison else 1)
+    if (dimension + columns) * cfg.steps > MAX_RUN_ENTRIES:
         raise ConfigError(
             "cutoffs",
-            f"{dimension} basis states x {cfg.steps} samples exceed "
-            f"{MAX_STATE_ENTRIES} state entries",
+            f"({dimension} basis states + {columns} columns) x {cfg.steps} "
+            f"samples exceed {MAX_RUN_ENTRIES} entries",
         )
-    model = spec.build(values)
     cutoffs = values["cutoffs"]
     for occ in model.channels or ():
         for i, (o, c) in enumerate(zip(occ, cutoffs)):
@@ -611,7 +634,7 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
         support = np.union1d([0], np.flatnonzero(np.abs(psi.amplitudes) > 1e-12))
         occupations = [occupations_of(system, k) for k in support]
         rest = np.setdiff1d(np.arange(system.dimension), support)
-    labels = ["p_" + "_".join(str(o) for o in occ) for occ in occupations]
+    labels = [_label(occ) for occ in occupations]
     channels = {
         name: [flat_index(system, occ)] for name, occ in zip(labels, occupations)
     }
@@ -655,6 +678,7 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
         omega_osc=omega_osc,
         analytic_tol=analytic_tol,
         summary_extra=model.extra,
+        readout=model.readout,
     )
 
 
@@ -783,11 +807,8 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
         "config": _config_echo(cfg),
     }
     summary.update(prep.summary_extra)
-    if cfg.scenario == "gravitational-mzi":
-        first, second = prob_names[1], prob_names[2]
-        summary["asymmetry_amplitude"] = float(
-            np.max(channels[first] - channels[second])
-        )
+    if prep.readout is not None:
+        summary.update(prep.readout(channels))
 
     agree = residuals.get("analytic_vs_exponential", 0.0) <= prep.analytic_tol and (
         residuals.get("exponential_vs_rk4", 0.0) <= TOL_RK4

@@ -4,8 +4,9 @@ Dense density-matrix measures, kept as oracles of the amplitude-based ones
 in ``ergodyn.measures`` and for the mixed-state measure tests; the closed
 4x4 dyad-vector system on the ground/excited plane, an oracle of the
 exponential route; dense RK4 on the N x N generator, the oracle of the
-subspace RK4 route; and a first-order Dyson solver, the oracle of the
-perturbative interferometer formula.
+subspace RK4 route; a first-order Dyson solver, the oracle of the
+perturbative interferometer formula; and the row-by-row ``'%.17g'`` CSV
+formatter, the oracle of the block kernel in ``ergodyn.emit``.
 """
 
 from dataclasses import dataclass
@@ -170,3 +171,12 @@ def first_order_dyson(m0, m1, eps: float, t_grid) -> np.ndarray:
     eye = np.eye(m0.shape[0])
     out = np.einsum("tij,tjk->tik", u0_stack, eye - 1j * eps * integral)
     return out
+
+
+def per_value_csv(series) -> str:
+    """The series CSV with one ``'%.17g'`` per value, formatted row by row."""
+    names = series.column_names()
+    table = np.column_stack([series.times] + [series.channels[n] for n in names])
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(["t"] + names)] + [row % tuple(r.tolist()) for r in table]
+    return "\n".join(lines) + "\n"

@@ -337,6 +337,21 @@ def test_rk4_rejects_nonuniform_grid():
         rk4_expectation_series(dyn, psi, {"p0": [0]}, [0.0, 0.1, 0.3])
 
 
+def test_rk4_rejects_a_grid_not_starting_at_zero():
+    # psi0 is the state at t = 0 on both routes; on linspace(1, 2, 5) the
+    # exponential route reads p_1 = 0.825 -> 1.000, the RK4 steps from t[0]
+    # would read 0.640 -> 0.825
+    sys_ = ModeSystem((1.0,), (1,))
+    psi = superposition(sys_, {(0,): 0.6, (1,): 0.8})
+    dyn = whole_register(sys_, psi)
+    t = np.linspace(1.0, 2.0, 5)
+    channels = {"p_0": [0], "p_1": [1]}
+    series = evolve_probabilities(dyn, psi, channels, t)
+    assert series.channels["p_1"][[0, -1]] == pytest.approx([0.825, 1.0], abs=1e-3)
+    with pytest.raises(GridError, match="start at t = 0"):
+        rk4_expectation_series(dyn, psi, channels, t)
+
+
 def test_rk4_rejects_overly_coarse_step():
     sys_, psi, dyn = two_level_setup(0.9, 5.0)
     with pytest.raises(RefinementError):

@@ -23,7 +23,7 @@ from ergodyn.emit import (
 from ergodyn.errors import ConfigError, EngineDisagreementError
 from ergodyn.scenarios import (
     _SCHEMA,
-    MAX_STATE_ENTRIES,
+    MAX_RUN_ENTRIES,
     SCENARIOS,
     ScenarioConfig,
     _assemble,
@@ -32,6 +32,7 @@ from ergodyn.scenarios import (
     run_scenario,
     sweep,
 )
+from oracles import per_value_csv
 
 
 def run(name, **overrides):
@@ -347,23 +348,14 @@ def test_emission_byte_stable(tmp_path):
 
 
 def test_csv_rows_match_the_per_value_formatter():
-    # the old emitter: one f-string per value
-    def per_value(series):
-        names = series.column_names()
-        lines = [",".join(["t"] + names)]
-        for k, t in enumerate(series.times):
-            row = [f"{t:.17g}"] + [f"{series.channels[n][k]:.17g}" for n in names]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
     odd = [-0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0, -2.5e-17, 123456789.0]
     series = TimeSeries(
         np.linspace(0.0, 7.0, len(odd)),
         {"a": odd, "b": np.array(odd[::-1]) * -1.0, "c": np.arange(len(odd)) / 7.0},
     )
-    assert format_series_csv(series) == per_value(series)
+    assert format_series_csv(series) == per_value_csv(series)
     series, _ = run("two-mode-separable", steps="81", engine="all", comparison="true")
-    assert format_series_csv(series) == per_value(series)
+    assert format_series_csv(series) == per_value_csv(series)
 
 
 def test_csv_probability_rows_sum_to_one(tmp_path):
@@ -647,9 +639,9 @@ def test_run_builds_no_dense_matrix(overrides, engine):
 
 
 def test_state_size_bound_rejects_before_allocating(capsys):
-    # a 10^6-state register over 100 samples passes MAX_STATE_ENTRIES; the
+    # a 10^6-state register over 100 samples passes MAX_RUN_ENTRIES; the
     # check comes before any amplitude vector (16 MB here) exists
-    assert 1_000_000 * 100 > MAX_STATE_ENTRIES
+    assert 1_000_000 * 100 > MAX_RUN_ENTRIES
     tracemalloc.start()
     try:
         code = main(["run", "--n", "999999", "--steps", "100"])
@@ -659,9 +651,34 @@ def test_state_size_bound_rejects_before_allocating(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error in cutoffs:")
-    assert "1000001 basis states x 100 samples" in err
+    assert "(1000001 basis states + 5 columns) x 100 samples" in err
     assert "Traceback" not in err
     assert peak < 1_000_000
+
+
+def test_run_bound_counts_the_channel_table(capsys):
+    # a full-support custom state reads one channel per basis state: 216
+    # states over 50000 samples fit the bound, the 661 columns of compare
+    # do not, and the check comes before any state or series exists
+    argv = ["--scenario", "custom-state", "--cutoffs", "5,5,5", "--omega",
+            "1.0,1.3,1.7", "--amplitudes", ",".join(["0.1"] * 216),
+            "--steps", "50000"]
+    assert 216 * 50000 < MAX_RUN_ENTRIES
+    tracemalloc.start()
+    try:
+        code = main(["compare", *argv])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error in cutoffs:")
+    assert "(216 basis states + 661 columns) x 50000 samples" in err
+    assert "Traceback" not in err
+    assert peak < 2_000_000
+    overrides = dict(zip(argv[::2], argv[1::2]))
+    run_cfg = load_config(None, {k.lstrip("-"): v for k, v in overrides.items()})
+    assert len(_assemble(run_cfg.validated()).channels) == 216
 
 
 def test_cli_long_rk4_horizon_fails_cleanly(capsys):
