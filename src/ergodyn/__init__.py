@@ -13,7 +13,6 @@ from .closed_forms import (
     oscillation_frequency,
     oscillation_frequency_from_coherence,
     product_recurrence_possible,
-    separable_pair_number,
     separable_pair_probabilities,
     two_level_probabilities,
     two_level_survival,
@@ -42,17 +41,13 @@ from .fock import (
     DensityOperator,
     Ket,
     ModeSystem,
-    Operator,
     flat_index,
     fock_ket,
     free_energies,
     free_hamiltonian,
-    identity_operator,
     occupation_counts,
     occupations_of,
-    projector,
     superposition,
-    tensor,
     vacuum_ket,
 )
 from .measures import BipartitionSpec, l1_coherence, negativity

@@ -2,7 +2,11 @@
 
 Each criterion returns a :class:`CriterionResult`; ``run_all`` prints one
 pass/fail line per criterion.  The suite is what ``ergodyn selftest``
-executes and what tests/test_acceptance.py wraps.
+executes and what tests/test_acceptance.py wraps.  The criteria on named
+scenarios (1-8) take their series from the pipeline users run,
+:func:`scenarios.load_config` and :func:`scenarios.run_scenario`, and hold
+them against closed forms and dense oracles computed here; criteria 9-12
+check the measures, passivity and the generator on random instances.
 """
 
 from __future__ import annotations
@@ -22,27 +26,20 @@ from .dynamics import (
     evolve_probabilities,
     expanded_generator,
     propagator,
-    read_channels,
-    rk4_expectation_series,
     survival_probability,
 )
 from .fock import (
     DensityOperator,
     Ket,
     ModeSystem,
-    Operator,
-    flat_index,
     fock_ket,
-    free_energies,
     free_hamiltonian,
-    occupation_counts,
     superposition,
-    tensor,
     vacuum_ket,
 )
 from .measures import BipartitionSpec, l1_coherence, negativity
 from .passive import decompose_against_ground, passive_state, passive_unitary_for
-from .scenarios import load_config, run_scenario
+from .scenarios import _assemble, load_config, run_scenario
 
 
 @dataclass
@@ -60,44 +57,41 @@ def _result(number, title, checks, detail):
     return CriterionResult(number, title, not failed, detail)
 
 
-def _two_level(theta, gap):
-    sys_ = ModeSystem((gap,), (1,))
-    psi = superposition(sys_, {(0,): math.cos(theta), (1,): math.sin(theta)})
-    return sys_, psi, effective_dynamics([(free_energies(sys_), psi)])
+def _scenario(scenario, engine="exponential", **overrides):
+    """Config of a named scenario with the given overrides."""
+    entries = {"scenario": scenario, "engine": engine, **overrides}
+    return load_config(None, {k: str(v) for k, v in entries.items()})
+
+
+def _qubit_runs(engine):
+    """(theta, gap, series, summary) of single-mode-superposition with n = 1
+    at omega = gap, over 20 pi / (sin(theta) gap), for each case."""
+    for theta, gap in itertools.product(
+        (math.pi / 6, math.pi / 4, math.pi / 3), (0.5, 1.0, 2.0)
+    ):
+        cfg = _scenario(
+            "single-mode-superposition", engine, n=1, cutoffs=1, omega=gap,
+            theta=theta, t_max=20.0 * math.pi / (math.sin(theta) * gap), steps=2001,
+        )
+        yield (theta, gap, *run_scenario(cfg, strict=False))
 
 
 def criterion_01_two_level_triangle():
     """Closed form, exponential and RK4 agree on the two-level block."""
     worst_ae, worst_er, worst_sum = 0.0, 0.0, 0.0
-    checks = []
-    for theta, gap in itertools.product(
-        (math.pi / 6, math.pi / 4, math.pi / 3), (0.5, 1.0, 2.0)
-    ):
-        sys_, psi, dyn = _two_level(theta, gap)
-        rate = math.sin(theta) * gap
-        t = np.linspace(0.0, 20.0 * math.pi / rate, 2001)
-        channels = {"p0": [flat_index(sys_, (0,))], "pe": [flat_index(sys_, (1,))]}
-        series = evolve_probabilities(dyn, psi, channels, t)
-        a0, ae = cf.two_level_probabilities(theta, gap, t)
-        dev_ae = max(
-            np.abs(series.channels["p0"] - a0).max(),
-            np.abs(series.channels["pe"] - ae).max(),
-        )
-        rk4 = rk4_expectation_series(
-            dyn, psi, channels, t, omega_max=max(sys_.omega)
-        )
-        dev_er = max(
-            np.abs(series.channels["p0"] - rk4["p0"]).max(),
-            np.abs(series.channels["pe"] - rk4["pe"]).max(),
-        )
-        dev_sum = np.abs(
-            series.channels["p0"] + series.channels["pe"] - 1.0
-        ).max()
+    for theta, gap, series, summary in _qubit_runs("all"):
+        p0, pe = series.channels["p_0"], series.channels["p_1"]
+        a0, ae = cf.two_level_probabilities(theta, gap, series.times)
+        dev_ae = max(np.abs(p0 - a0).max(), np.abs(pe - ae).max())
+        dev_er = summary["residuals"]["exponential_vs_rk4"]
+        dev_sum = np.abs(p0 + pe - 1.0).max()
         worst_ae, worst_er = max(worst_ae, dev_ae), max(worst_er, dev_er)
         worst_sum = max(worst_sum, dev_sum)
-    checks.append((worst_ae <= 1e-10, f"analytic vs exponential {worst_ae:.2e}"))
-    checks.append((worst_er <= 1e-8, f"exponential vs RK4 {worst_er:.2e}"))
-    checks.append((worst_sum <= 1e-12, f"partition deviation {worst_sum:.2e}"))
+    checks = [
+        (worst_ae <= 1e-10, f"analytic vs exponential {worst_ae:.2e}"),
+        (worst_er <= 1e-8, f"exponential vs RK4 {worst_er:.2e}"),
+        (worst_sum <= 1e-12, f"partition deviation {worst_sum:.2e}"),
+    ]
     return _result(
         1,
         "two-level probability triangle",
@@ -110,14 +104,9 @@ def criterion_01_two_level_triangle():
 def criterion_02_survival_closed_form():
     """Propagator survival matches 1 - cos^2 sin^2(sin(theta) gap t)."""
     worst = 0.0
-    for theta, gap in itertools.product(
-        (math.pi / 6, math.pi / 4, math.pi / 3), (0.5, 1.0, 2.0)
-    ):
-        _, psi, dyn = _two_level(theta, gap)
-        rate = math.sin(theta) * gap
-        t = np.linspace(0.0, 20.0 * math.pi / rate, 2001)
-        got = survival_probability(dyn, psi, t).channels["p_survival"]
-        worst = max(worst, np.abs(got - cf.two_level_survival(theta, gap, t)).max())
+    for theta, gap, series, _ in _qubit_runs("exponential"):
+        expected = cf.two_level_survival(theta, gap, series.times)
+        worst = max(worst, np.abs(series.channels["p_survival"] - expected).max())
     checks = [(worst <= 1e-10, f"survival deviation {worst:.2e}")]
     return _result(2, "survival probability closed form", checks,
                    f"max deviation {worst:.2e}")
@@ -126,28 +115,21 @@ def criterion_02_survival_closed_form():
 def criterion_03_full_fock_single_mode():
     """Full truncated-space run reproduces the balanced single-mode forms."""
     n, omega = 3, 1.0
-    sys_ = ModeSystem((omega,), (4,))
-    psi = superposition(sys_, {(0,): 1.0, (n,): 1.0})
-    dyn = effective_dynamics([(free_energies(sys_), psi)])
-    t = np.linspace(0.0, 20.0, 2001)
-    series = evolve_probabilities(
-        dyn,
-        psi,
-        {"p0": [flat_index(sys_, (0,))], "pn": [flat_index(sys_, (n,))]},
-        t,
-        occupations=occupation_counts(sys_),
+    cfg = _scenario(
+        "single-mode-superposition", n=n, omega=omega, t_max=20, steps=2001,
+        comparison=True,
     )
+    series, _ = run_scenario(cfg)
+    ch, t = series.channels, series.times
     a0, an = cf.balanced_superposition_probabilities(n, omega, 0.0, t)
     number = cf.balanced_superposition_number(n, omega, 0.0, t)
     dev = max(
-        np.abs(series.channels["p0"] - a0).max(),
-        np.abs(series.channels["pn"] - an).max(),
-        np.abs(series.channels["n_expect"] - number).max(),
+        np.abs(ch["p_0"] - a0).max(),
+        np.abs(ch[f"p_{n}"] - an).max(),
+        np.abs(ch["n_expect"] - number).max(),
     )
     # unmodified dynamics keeps both populations pinned at 1/2
-    states = _evolved_states(free_hamiltonian(sys_).matrix, psi.amplitudes, t)
-    pn_std = read_channels(states, {"pn": [flat_index(sys_, (n,))]})["pn"]
-    dev_std = np.abs(pn_std - 0.5).max()
+    dev_std = np.abs(ch[f"std_p_{n}"] - 0.5).max()
     checks = [
         (dev <= 1e-9, f"closed-form deviation {dev:.2e}"),
         (dev_std <= 1e-12, f"standard channel deviation {dev_std:.2e}"),
@@ -160,38 +142,28 @@ def criterion_04_two_mode_products():
     """Separable pair: product formulas, unit sum, tensor-split generator."""
     n, m = 2, 3
     omega_a, omega_b = 1.0, math.sqrt(2.0)
-    sys_ = ModeSystem((omega_a, omega_b), (3, 4))
-    root = 0.5
-    psi = superposition(
-        sys_, {(0, 0): root, (n, 0): root, (0, m): root, (n, m): root}
+    cfg = _scenario(
+        "two-mode-separable", n=n, m=m, omega_a=omega_a, omega_b=omega_b,
+        t_max=9, steps=2001,
     )
-    sub_a = ModeSystem((omega_a,), (3,))
-    sub_b = ModeSystem((omega_b,), (4,))
-    psi_a = superposition(sub_a, {(0,): 1.0, (n,): 1.0})
-    psi_b = superposition(sub_b, {(0,): 1.0, (m,): 1.0})
-    # one factor per mode: H_eff is the Kronecker sum of the single-mode ones
-    dyn = effective_dynamics(
-        [(free_energies(sub_a), psi_a), (free_energies(sub_b), psi_b)]
-    )
-    t = np.linspace(0.0, 9.0, 2001)
-    labels = [(0, 0), (n, 0), (0, m), (n, m)]
-    series = evolve_probabilities(
-        dyn,
-        psi,
-        {str(occ): [flat_index(sys_, occ)] for occ in labels},
-        t,
-    )
-    forms = cf.separable_pair_probabilities(n, m, omega_a, omega_b, t)
+    series, _ = run_scenario(cfg)
+    labels = ["p_0_0", f"p_{n}_0", f"p_0_{m}", f"p_{n}_{m}"]
+    forms = cf.separable_pair_probabilities(n, m, omega_a, omega_b, series.times)
     dev = max(
-        np.abs(series.channels[str(occ)] - form).max()
-        for occ, form in zip(labels, forms)
+        np.abs(series.channels[name] - form).max()
+        for name, form in zip(labels, forms)
     )
-    total = sum(series.channels[str(occ)] for occ in labels)
+    total = sum(series.channels[name] for name in labels)
     dev_sum = np.abs(total - 1.0).max()
-    # the dense conjugation by the product rotation is that Kronecker sum
-    u_p = tensor(passive_unitary_for(psi_a, sub_a), passive_unitary_for(psi_b, sub_b))
-    dense = effective_hamiltonian(free_hamiltonian(sys_), u_p).matrix
-    dev_split = np.abs(dyn.dense() - dense).max()
+    # the generator the scenario propagates is the dense conjugation by the
+    # product of the single-mode rotations of (|0> + |n>)/sqrt(2)
+    sub_a = ModeSystem((omega_a,), (n + 1,))
+    sub_b = ModeSystem((omega_b,), (m + 1,))
+    u_a = passive_unitary_for(superposition(sub_a, {(0,): 1.0, (n,): 1.0}), sub_a)
+    u_b = passive_unitary_for(superposition(sub_b, {(0,): 1.0, (m,): 1.0}), sub_b)
+    sys_ = ModeSystem((omega_a, omega_b), (n + 1, m + 1))
+    dense = effective_hamiltonian(free_hamiltonian(sys_), np.kron(u_a, u_b))
+    dev_split = np.abs(_assemble(cfg).dyn.dense() - dense).max()
     checks = [
         (dev <= 1e-9, f"product-form deviation {dev:.2e}"),
         (dev_sum <= 1e-12, f"sum deviation {dev_sum:.2e}"),
@@ -214,23 +186,16 @@ def criterion_05_entangled_pair():
     """Entangled pair matches its closed form and has a collective rate."""
     n, m = 2, 3
     omega_a, omega_b = 1.0, math.sqrt(2.0)
-    sys_ = ModeSystem((omega_a, omega_b), (3, 4))
-    root = 1.0 / math.sqrt(2.0)
-    psi = superposition(sys_, {(0, 0): root, (n, m): root})
-    dyn = effective_dynamics([(free_energies(sys_), psi)])
-    t = np.linspace(0.0, 40.0, 4001)
-    series = evolve_probabilities(
-        dyn,
-        psi,
-        {"p00": [flat_index(sys_, (0, 0))], "pnm": [flat_index(sys_, (n, m))]},
-        t,
+    cfg = _scenario(
+        "entangled-noon", n=n, m=m, omega_a=omega_a, omega_b=omega_b,
+        t_max=40, steps=4001,
     )
+    series, _ = run_scenario(cfg)
+    t, p00 = series.times, series.channels["p_0_0"]
+    pnm = series.channels[f"p_{n}_{m}"]
     a00, anm = cf.noon_probabilities(n, m, omega_a, omega_b, t)
-    dev = max(
-        np.abs(series.channels["p00"] - a00).max(),
-        np.abs(series.channels["pnm"] - anm).max(),
-    )
-    rate = _dominant_rate(t, series.channels["p00"])
+    dev = max(np.abs(p00 - a00).max(), np.abs(pnm - anm).max())
+    rate = _dominant_rate(t, p00)
     collective = (n * omega_a + m * omega_b) / math.sqrt(2.0)
     separable_rates = (n * omega_a / math.sqrt(2.0), m * omega_b / math.sqrt(2.0))
     gaps = [abs(rate - r) / r for r in separable_rates]
@@ -256,19 +221,9 @@ def criterion_05_entangled_pair():
 
 def criterion_06_degenerate_interferometer():
     """Equal arm energies freeze every occupation probability."""
-    cfg = load_config(
-        None,
-        {
-            "scenario": "moon-degenerate",
-            "M": "2",
-            "N": "1",
-            "omega_a": "1.0",
-            "omega_b": "2.0",
-            "phi": str(math.pi / 3),
-            "t_max": "50",
-            "steps": "2001",
-            "engine": "exponential",
-        },
+    cfg = _scenario(
+        "moon-degenerate", M=2, N=1, omega_a=1.0, omega_b=2.0, phi=math.pi / 3,
+        t_max=50, steps=2001,
     )
     series, _ = run_scenario(cfg)
     worst = 0.0
@@ -285,27 +240,16 @@ def criterion_07_perturbative_interferometer():
     phi, n_occ = math.pi / 3, 2
     residuals = {}
     for eps in (1e-2, 1e-3):
+        cfg = _scenario(
+            "moon-perturbative", N=n_occ, phi=phi, eps=eps, t_max=2.0 * math.pi,
+            steps=801,
+        )
+        series, _ = run_scenario(cfg)
         params = cf.MoonParams.from_detuning(n_occ, phi, 1.0, eps)
-        sys_ = ModeSystem((params.omega_a, params.omega_b), (n_occ, n_occ))
-        psi = superposition(
-            sys_, {(n_occ, 0): math.cos(phi), (0, n_occ): math.sin(phi)}
-        )
-        dyn = effective_dynamics([(free_energies(sys_), psi)])
-        t = np.linspace(0.0, 2.0 * math.pi, 801)
-        series = evolve_probabilities(
-            dyn,
-            psi,
-            {
-                "pvac": [flat_index(sys_, (0, 0))],
-                "pa": [flat_index(sys_, (n_occ, 0))],
-                "pb": [flat_index(sys_, (0, n_occ))],
-            },
-            t,
-        )
-        fa, fb = cf.moon_perturbative_probabilities(params, t)
+        fa, fb = cf.moon_perturbative_probabilities(params, series.times)
         residuals[eps] = max(
-            np.abs(series.channels["pa"] - fa).max(),
-            np.abs(series.channels["pb"] - fb).max(),
+            np.abs(series.channels[f"p_{n_occ}_0"] - fa).max(),
+            np.abs(series.channels[f"p_0_{n_occ}"] - fb).max(),
         )
     ratio = residuals[1e-2] / residuals[1e-3]
     checks = [
@@ -323,16 +267,7 @@ def criterion_07_perturbative_interferometer():
 
 def criterion_08_gravitational_asymmetry():
     """Arm asymmetry amplitude equals r_S L / r_E^2 from the full pipeline."""
-    cfg = load_config(
-        None,
-        {
-            "scenario": "gravitational-mzi",
-            "N": "1",
-            "omega_0": "1.0",
-            "steps": "2001",
-            "engine": "exponential",
-        },
-    )
+    cfg = _scenario("gravitational-mzi", N=1, omega_0=1.0, steps=2001)
     series, summary = run_scenario(cfg)
     expected = 1e-2 * 1e5 / 6.371e6**2
     amp = summary["asymmetry_amplitude"]
@@ -407,11 +342,11 @@ def criterion_10_passivity():
     for _ in range(100):
         dim = int(rng.integers(4, 7))
         levels = np.cumsum(rng.uniform(0.1, 1.0, dim))
-        h = Operator(np.diag(levels), hermitian_hint=True)
+        h = np.diag(levels)
         z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = DensityOperator((z @ z.conj().T) / np.trace(z @ z.conj().T).real)
         out = passive_state(rho, h)
-        energy = float(np.trace(out.matrix @ h.matrix).real)
+        energy = float(np.trace(out.matrix @ h).real)
         pops = np.linalg.eigvalsh(rho.matrix)
         best = min(
             float(np.dot(pops[list(perm)], levels))
@@ -426,7 +361,7 @@ def criterion_10_passivity():
             "uij,jk,ukl->uil", qs, rho.matrix, qs.conj().transpose(0, 2, 1)
         )
         energies = np.einsum(
-            "uii->u", np.einsum("uij,jk->uik", rotated, h.matrix)
+            "uii->u", np.einsum("uij,jk->uik", rotated, h)
         ).real
         if energies.min() < energy - 1e-12:
             beaten = False
@@ -491,26 +426,26 @@ def criterion_12_structural_properties():
     for _ in range(100):
         dim = int(rng.integers(2, 9))
         levels = np.concatenate([[0.0], np.sort(rng.uniform(0.2, 3.0, dim - 1))])
-        h = Operator(np.diag(levels), hermitian_hint=True)
+        h = np.diag(levels)
         sys_ = ModeSystem((1.0,), (dim - 1,))
         psi = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         h_eff = effective_hamiltonian(h, passive_unitary_for(psi, sys_))
         t = float(rng.uniform(0.1, 8.0))
-        u = propagator(h_eff, t).matrix
+        u = propagator(h_eff, t)
         worst["unitarity"] = max(
             worst["unitarity"],
             np.abs(u @ u.conj().T - np.eye(dim)).max(),
         )
-        worst["trace"] = max(worst["trace"], abs(np.trace(h_eff.matrix)) / dim)
+        worst["trace"] = max(worst["trace"], abs(np.trace(h_eff)) / dim)
         g = expanded_generator(h, decompose_against_ground(psi))
         worst["equivalence"] = max(
-            worst["equivalence"], np.abs(g.matrix + h_eff.matrix).max()
+            worst["equivalence"], np.abs(g + h_eff).max()
         )
         grid = np.linspace(0.0, t, 9)
         reduced = _reduced_states(
             effective_dynamics([(levels, psi)]), psi.amplitudes, grid
         )
-        dense = _evolved_states(h_eff.matrix, psi.amplitudes, grid)
+        dense = _evolved_states(h_eff, psi.amplitudes, grid)
         worst["reduced"] = max(worst["reduced"], np.abs(reduced - dense).max())
         # an excited eigenstate stays put
         k = int(rng.integers(1, dim))
@@ -530,8 +465,8 @@ def criterion_12_structural_properties():
         h_eff_g = effective_hamiltonian(h, passive_unitary_for(vac, sys_))
         dyn_g = effective_dynamics([(levels, vac)])
         if (
-            np.any(h_eff_g.matrix)
-            or np.any(propagator(h_eff_g, t).matrix != np.eye(dim))
+            np.any(h_eff_g)
+            or np.any(propagator(h_eff_g, t) != np.eye(dim))
             or np.any(dyn_g.dense())
             or np.any(
                 _reduced_states(dyn_g, vac.amplitudes, grid) != vac.amplitudes[:, None]

@@ -21,7 +21,6 @@ __all__ = [
     "balanced_superposition_probabilities",
     "balanced_superposition_number",
     "separable_pair_probabilities",
-    "separable_pair_number",
     "product_recurrence_possible",
     "noon_probabilities",
     "MoonParams",
@@ -79,13 +78,6 @@ def separable_pair_probabilities(n: int, m: int, omega_a: float, omega_b: float,
     pa0, pan = balanced_superposition_probabilities(n, omega_a, 0.0, t)
     pb0, pbm = balanced_superposition_probabilities(m, omega_b, 0.0, t)
     return pa0 * pb0, pan * pb0, pa0 * pbm, pan * pbm
-
-
-def separable_pair_number(n: int, m: int, omega_a: float, omega_b: float, t):
-    """Total occupation expectation for the separable two-mode product."""
-    return balanced_superposition_number(
-        n, omega_a, 0.0, t
-    ) + balanced_superposition_number(m, omega_b, 0.0, t)
 
 
 def product_recurrence_possible(ns, omegas, base_omega: float, tol=1e-9) -> bool:
@@ -232,10 +224,6 @@ class GravityScenario:
     def relative_shift(self) -> float:
         """(r_S / 2) L / r_E^2, the first-order fractional frequency shift."""
         return 0.5 * self.schwarzschild_radius * self.path_length / self.earth_radius**2
-
-    @property
-    def shifted_omega(self) -> float:
-        return (1.0 - self.relative_shift) * self.omega_0
 
     @property
     def asymmetry(self) -> float:

@@ -72,19 +72,6 @@ def write_series_csv(series: TimeSeries, path) -> None:
             fh.write(chunk)
 
 
-def read_series_csv(path):
-    """Re-parse an emitted CSV into (times, {channel: values})."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    header = lines[0].split(",")
-    if header[0] != "t":
-        raise ValueError(f"first column must be 't', got {header[0]!r}")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    times = data[:, 0]
-    channels = {name: data[:, i + 1] for i, name in enumerate(header[1:])}
-    return times, channels
-
-
 def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}

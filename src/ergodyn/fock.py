@@ -1,7 +1,8 @@
 """Truncated multimode bosonic Hilbert space.
 
-Basis indexing, state vectors, operators and tensor products for a
-register of harmonic modes, each truncated at a per-mode occupation cutoff.
+Basis indexing, state vectors and density operators for a register of
+harmonic modes, each truncated at a per-mode occupation cutoff.  Operators
+are plain numpy arrays in that basis.
 Internally hbar = 1, so every energy in the package is an angular frequency
 (rad/s).  Basis order is row-major in the mode occupations with the global
 vacuum |0...0> at flat index 0.
@@ -96,31 +97,6 @@ class Ket:
         return self.amplitudes.shape[0]
 
 
-class Operator:
-    """Dense complex square matrix, optionally asserted Hermitian."""
-
-    __slots__ = ("matrix", "hermitian_hint")
-
-    def __init__(self, matrix, hermitian_hint: bool = False):
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator must be square, got shape {mat.shape}")
-        if hermitian_hint:
-            scale = max(np.abs(mat).max(), 1.0)
-            dev = np.abs(mat - mat.conj().T).max()
-            if dev > ATOL * scale:
-                raise ValueError(f"hermitian_hint set but max|A - A^dag| = {dev:g}")
-        self.matrix = mat
-        self.hermitian_hint = hermitian_hint
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def expectation(self, ket: Ket) -> complex:
-        return complex(ket.amplitudes.conj() @ (self.matrix @ ket.amplitudes))
-
-
 class DensityOperator:
     """Hermitian, unit-trace, (numerically) positive matrix."""
 
@@ -184,24 +160,7 @@ def free_energies(system: ModeSystem) -> np.ndarray:
     return _occupation_sum(system, system.omega)
 
 
-def free_hamiltonian(system: ModeSystem) -> Operator:
-    """Diagonal free Hamiltonian: |n_1...n_k> has energy sum_i n_i omega_i."""
-    return Operator(np.diag(free_energies(system)), hermitian_hint=True)
-
-
-def projector(ket: Ket) -> Operator:
-    """Rank-1 projector |k><k|."""
-    v = ket.amplitudes
-    return Operator(np.outer(v, v.conj()), hermitian_hint=True)
-
-
-def identity_operator(dimension: int) -> Operator:
-    return Operator(np.eye(dimension), hermitian_hint=True)
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product in the fixed mode order (a acts on the leading modes)."""
-    return Operator(
-        np.kron(a.matrix, b.matrix),
-        hermitian_hint=a.hermitian_hint and b.hermitian_hint,
-    )
+def free_hamiltonian(system: ModeSystem) -> np.ndarray:
+    """Dense diagonal free Hamiltonian: |n_1...n_k> has energy sum_i n_i omega_i
+    (oracles only; the run path keeps :func:`free_energies`)."""
+    return np.diag(free_energies(system))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError
-from .fock import ATOL, DensityOperator, Ket, ModeSystem, Operator
+from .fock import ATOL, DensityOperator, Ket, ModeSystem
 
 #: below this mixing angle the state is treated as the ground state itself
 THETA_TOL = 1e-12
@@ -57,7 +57,7 @@ def decompose_against_ground(psi: Ket) -> GroundDecomposition:
     return GroundDecomposition(theta=theta, excited=Ket(rest))
 
 
-def build_passive_unitary(dec: GroundDecomposition, system: ModeSystem) -> Operator:
+def build_passive_unitary(dec: GroundDecomposition, system: ModeSystem) -> np.ndarray:
     """Unitary rotating the decomposed state onto the ground state.
 
     Acts as cos(theta) on the (ground, excited) plane with off-diagonal
@@ -66,7 +66,7 @@ def build_passive_unitary(dec: GroundDecomposition, system: ModeSystem) -> Opera
     """
     dim = system.dimension
     if dec.excited is None:
-        return Operator(np.eye(dim), hermitian_hint=False)
+        return np.eye(dim, dtype=complex)
     if dec.excited.dimension != dim:
         raise ValueError(
             f"decomposition lives in dimension {dec.excited.dimension}, "
@@ -78,7 +78,7 @@ def build_passive_unitary(dec: GroundDecomposition, system: ModeSystem) -> Opera
     c, s = np.cos(dec.theta), np.sin(dec.theta)
     pg = np.outer(g, g.conj())
     pe = np.outer(e, e.conj())
-    u = (
+    return (
         c * (pg + pe)
         + s * np.outer(g, e.conj())
         - s * np.outer(e, g.conj())
@@ -86,15 +86,14 @@ def build_passive_unitary(dec: GroundDecomposition, system: ModeSystem) -> Opera
         - pg
         - pe
     )
-    return Operator(u, hermitian_hint=False)
 
 
-def passive_unitary_for(psi: Ket, system: ModeSystem) -> Operator:
+def passive_unitary_for(psi: Ket, system: ModeSystem) -> np.ndarray:
     """Convenience wrapper: decompose then build the rotation."""
     return build_passive_unitary(decompose_against_ground(psi), system)
 
 
-def passive_state(rho: DensityOperator, hamiltonian: Operator) -> DensityOperator:
+def passive_state(rho: DensityOperator, hamiltonian: np.ndarray) -> DensityOperator:
     """Unitary rearrangement of rho with minimal energy.
 
     Populations of rho sorted in decreasing order are attached to the energy
@@ -102,17 +101,14 @@ def passive_state(rho: DensityOperator, hamiltonian: Operator) -> DensityOperato
     nondegenerate spectrum; levels closer than GAP_TOL make the target
     ambiguous and raise :class:`DegenerateSpectrumError`.
     """
-    if not hamiltonian.hermitian_hint:
-        # validate hermiticity even when the caller did not assert it
-        h = hamiltonian.matrix
-        if np.abs(h - h.conj().T).max() > ATOL * max(np.abs(h).max(), 1.0):
-            raise ValueError("hamiltonian must be Hermitian")
-    if rho.dimension != hamiltonian.dimension:
+    h = np.asarray(hamiltonian)
+    if h.shape != rho.matrix.shape:
         raise ValueError(
-            f"dimension mismatch: state {rho.dimension}, "
-            f"hamiltonian {hamiltonian.dimension}"
+            f"dimension mismatch: state {rho.matrix.shape}, hamiltonian {h.shape}"
         )
-    energies, levels = np.linalg.eigh(hamiltonian.matrix)
+    if np.abs(h - h.conj().T).max() > ATOL * max(np.abs(h).max(), 1.0):
+        raise ValueError("hamiltonian must be Hermitian")
+    energies, levels = np.linalg.eigh(h)
     gaps = np.diff(energies)
     if len(gaps) and gaps.min() < GAP_TOL:
         raise DegenerateSpectrumError(

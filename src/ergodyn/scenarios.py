@@ -525,7 +525,8 @@ _RULES = {
         ("omega", "omega_a", "omega_b", "omega_0", "base_omega"),
         (lambda x: x > 0, "frequency must be positive"),
     ),
-    "r_E": (lambda x: x > 0, "radius must be positive"),
+    **dict.fromkeys(("r_S", "r_E"), (lambda x: x > 0, "radius must be positive")),
+    "L": (lambda x: x > 0, "length must be positive"),
     # angles forgive rounded endpoint inputs, which are then clamped
     **dict.fromkeys(
         ("theta", "phi"),
@@ -839,8 +840,9 @@ def _peak_residual(a: dict, b: dict) -> tuple[float, str, int]:
     for name in a:
         if name in b:
             diff = np.abs(a[name] - b[name])
-            k = int(np.argmax(diff))
-            if diff[k] > peak[0]:
+            k = int(np.argmax(diff))  # the first NaN, if there is one
+            # a NaN difference is the peak, so that it fails every gate
+            if not diff[k] <= peak[0] and not math.isnan(peak[0]):
                 peak = (float(diff[k]), name, k)
     return peak
 

@@ -11,7 +11,6 @@ from ergodyn import (
     RefinementError,
     Ket,
     ModeSystem,
-    Operator,
     decompose_against_ground,
     effective_dynamics,
     effective_hamiltonian,
@@ -21,15 +20,12 @@ from ergodyn import (
     fock_ket,
     free_energies,
     free_hamiltonian,
-    identity_operator,
     occupation_counts,
     passive_unitary_for,
-    projector,
     propagator,
     rk4_expectation_series,
     superposition,
     survival_probability,
-    tensor,
     two_level_probabilities,
     two_level_survival,
     vacuum_ket,
@@ -70,7 +66,7 @@ def two_level_setup(theta, gap, cutoff=1):
 def random_eigen_system(rng, dim):
     """Random diagonal H (ground first, nondegenerate) and random state."""
     levels = np.concatenate([[0.0], np.sort(rng.uniform(0.3, 3.0, dim - 1))])
-    h = Operator(np.diag(levels), hermitian_hint=True)
+    h = np.diag(levels)
     psi = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     return h, psi
 
@@ -82,11 +78,11 @@ def test_ground_state_gives_zero_generator():
     sys_ = ModeSystem((1.0,), (3,))
     psi = vacuum_ket(sys_)
     h_eff = dense_generator(sys_, psi)
-    np.testing.assert_array_equal(h_eff.matrix, 0.0)
+    np.testing.assert_array_equal(h_eff, 0.0)
     np.testing.assert_array_equal(whole_register(sys_, psi).dense(), 0.0)
     # frozen ground state: the propagator is exactly the identity
     for t in (0.0, 1.7, 100.0):
-        np.testing.assert_array_equal(propagator(h_eff, t).matrix, np.eye(4))
+        np.testing.assert_array_equal(propagator(h_eff, t), np.eye(4))
     series = evolve_probabilities(
         whole_register(sys_, psi), psi, {"p0": [0]}, np.linspace(0.0, 100.0, 7)
     )
@@ -100,8 +96,8 @@ def test_two_level_block_matches_direct_product():
     expected_block = s * gap * np.array([[-s, c], [c, s]])
     np.testing.assert_allclose(dyn.dense().real, expected_block, atol=1e-12)
     # independent route: build U_p H U_p^dag by hand
-    u = passive_unitary_for(psi, sys_).matrix
-    h = free_hamiltonian(sys_).matrix
+    u = passive_unitary_for(psi, sys_)
+    h = free_hamiltonian(sys_)
     np.testing.assert_allclose(dyn.dense(), h - u.conj().T @ h @ u, atol=1e-14)
 
 
@@ -111,7 +107,7 @@ def test_generator_block_structure_in_full_space():
     mask = np.ones((5, 5), dtype=bool)
     mask[np.ix_([0, 3], [0, 3])] = False
     assert np.abs(whole_register(sys_, psi).dense()[mask]).max() < 1e-12
-    assert np.abs(dense_generator(sys_, psi).matrix[mask]).max() < 1e-12
+    assert np.abs(dense_generator(sys_, psi)[mask]).max() < 1e-12
 
 
 def test_generator_scalars_and_trace():
@@ -135,9 +131,7 @@ def test_two_level_spectrum():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        effective_hamiltonian(
-            Operator(np.diag([0.0, 1.0]), hermitian_hint=True), identity_operator(3)
-        )
+        effective_hamiltonian(np.diag([0.0, 1.0]), np.eye(3))
     with pytest.raises(ValueError):
         effective_dynamics([(np.array([0.0, 1.0]), Ket([1.0, 1.0, 0.0]))])
 
@@ -149,10 +143,10 @@ def test_expanded_generator_eigenstate_reduces_to_two_level():
     theta, gap = 0.52, 1.7
     sys_, psi, dyn = two_level_setup(theta, gap)
     g = expanded_generator(free_hamiltonian(sys_), decompose_against_ground(psi))
-    np.testing.assert_allclose(g.matrix, -dyn.dense(), atol=1e-12)
+    np.testing.assert_allclose(g, -dyn.dense(), atol=1e-12)
     c, s = np.cos(theta), np.sin(theta)
     expected = s * gap * np.array([[s, -c], [-c, -s]])
-    np.testing.assert_allclose(g.matrix.real, expected, atol=1e-12)
+    np.testing.assert_allclose(g.real, expected, atol=1e-12)
 
 
 def test_expanded_generator_equals_conjugation_difference():
@@ -163,13 +157,13 @@ def test_expanded_generator_equals_conjugation_difference():
         sys_ = ModeSystem((1.0,), (dim - 1,))
         dec = decompose_against_ground(psi)
         g = expanded_generator(h, dec)
-        u = passive_unitary_for(psi, sys_).matrix
-        oracle = u.conj().T @ h.matrix @ u - h.matrix
-        np.testing.assert_allclose(g.matrix, oracle, atol=1e-10)
-        h_eff = effective_hamiltonian(h, Operator(u))
-        np.testing.assert_allclose(g.matrix, -h_eff.matrix, atol=1e-10)
-        dyn = effective_dynamics([(np.diag(h.matrix).real, psi)])
-        np.testing.assert_allclose(g.matrix, -dyn.dense(), atol=1e-10)
+        u = passive_unitary_for(psi, sys_)
+        oracle = u.conj().T @ h @ u - h
+        np.testing.assert_allclose(g, oracle, atol=1e-10)
+        h_eff = effective_hamiltonian(h, u)
+        np.testing.assert_allclose(g, -h_eff, atol=1e-10)
+        dyn = effective_dynamics([(np.diag(h), psi)])
+        np.testing.assert_allclose(g, -dyn.dense(), atol=1e-10)
 
 
 def test_expanded_generator_zero_at_theta_zero():
@@ -177,7 +171,7 @@ def test_expanded_generator_zero_at_theta_zero():
     g = expanded_generator(
         free_hamiltonian(sys_), decompose_against_ground(vacuum_ket(sys_))
     )
-    np.testing.assert_array_equal(g.matrix, 0.0)
+    np.testing.assert_array_equal(g, 0.0)
 
 
 # ------------------------------------------------------------- 4x4 block route
@@ -222,7 +216,7 @@ def test_block_route_matches_propagator_route():
 def test_propagator_time_zero_is_identity():
     sys_, psi, _ = two_level_setup(0.8, 1.0)
     np.testing.assert_allclose(
-        propagator(dense_generator(sys_, psi), 0.0).matrix, np.eye(2), atol=1e-15
+        propagator(dense_generator(sys_, psi), 0.0), np.eye(2), atol=1e-15
     )
 
 
@@ -234,9 +228,9 @@ def test_propagator_unitary_and_matches_expm():
         sys_ = ModeSystem((1.0,), (dim - 1,))
         h_eff = effective_hamiltonian(h, passive_unitary_for(psi, sys_))
         t = float(rng.uniform(0.0, 10.0))
-        u = propagator(h_eff, t).matrix
+        u = propagator(h_eff, t)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-11)
-        np.testing.assert_allclose(u, expm(-1j * h_eff.matrix * t), atol=1e-10)
+        np.testing.assert_allclose(u, expm(-1j * h_eff * t), atol=1e-10)
 
 
 def test_propagator_two_level_probability_closed_form():
@@ -563,7 +557,8 @@ def test_index_readout_matches_dense_projectors(cutoffs, data):
     for name in prep.channels:
         if name != "p_other":
             occ = tuple(int(o) for o in name[2:].split("_"))
-            dense[name] = projector(fock_ket(sys_, occ)).matrix
+            v = fock_ket(sys_, occ).amplitudes
+            dense[name] = np.outer(v, v.conj())
             covered += dense[name]
     dense["p_other"] = np.eye(dim) - covered
     assert set(dense) == set(got)
@@ -596,10 +591,10 @@ def test_orthogonal_initial_state_survival_comparison_runs():
     amps = np.zeros(6, dtype=complex)
     amps[1:] = rng.normal(size=5) + 1j * rng.normal(size=5)
     psi = Ket(amps)
-    dyn = effective_dynamics([(np.diag(h.matrix).real, psi)])
+    dyn = effective_dynamics([(np.diag(h), psi)])
     t = np.linspace(0.0, 20.0, 101)
     modified = survival_probability(dyn, psi, t).channels["p_survival"]
-    evals, evecs = np.linalg.eigh(h.matrix)
+    evals, evecs = np.linalg.eigh(h)
     standard = np.array(
         [
             abs(
@@ -632,16 +627,14 @@ def test_product_rotation_factorizes_generator():
     h_b = effective_hamiltonian(free_hamiltonian(sys_b), u_b)
 
     sys_ab = ModeSystem((omega_a, omega_b), (n + 1, m + 1))
-    h_ab = effective_hamiltonian(free_hamiltonian(sys_ab), tensor(u_a, u_b))
-    ia = identity_operator(sys_a.dimension)
-    ib = identity_operator(sys_b.dimension)
-    split = tensor(h_a, ib).matrix + tensor(ia, h_b).matrix
-    np.testing.assert_allclose(h_ab.matrix, split, atol=1e-12)
+    h_ab = effective_hamiltonian(free_hamiltonian(sys_ab), np.kron(u_a, u_b))
+    split = np.kron(h_a, np.eye(len(h_b))) + np.kron(np.eye(len(h_a)), h_b)
+    np.testing.assert_allclose(h_ab, split, atol=1e-12)
     # the factored generator is that Kronecker sum
     dyn_ab = effective_dynamics(
         [(free_energies(sys_a), psi_a), (free_energies(sys_b), psi_b)]
     )
-    np.testing.assert_allclose(dyn_ab.dense(), h_ab.matrix, atol=1e-12)
+    np.testing.assert_allclose(dyn_ab.dense(), h_ab, atol=1e-12)
 
     # probabilities factorize into the single-mode ones
     psi_ab = superposition(
@@ -686,7 +679,7 @@ def _assert_reduced_matches_dense(prep, u_p):
     """Every channel, n_expect and p_survival of the reduced route against the
     dense conjugation H - U_p^dag H U_p and its eigendecomposition."""
     sys_ = prep.system
-    h_eff = effective_hamiltonian(free_hamiltonian(sys_), u_p).matrix
+    h_eff = effective_hamiltonian(free_hamiltonian(sys_), u_p)
     np.testing.assert_allclose(prep.dyn.dense(), h_eff, rtol=0.0, atol=1e-12)
     t = np.linspace(0.0, 7.0, 15)
     occupations = occupation_counts(sys_)
@@ -759,7 +752,7 @@ def test_reduced_route_matches_dense_on_products(modes, data):
     for n, w, c in zip(ns, omega, cutoffs):
         sub = ModeSystem((w,), (c,))
         u = passive_unitary_for(superposition(sub, {(0,): 1.0, (n,): 1.0}), sub)
-        u_p = u if u_p is None else tensor(u_p, u)
+        u_p = u if u_p is None else np.kron(u_p, u)
     _assert_reduced_matches_dense(prep, u_p)
 
 
@@ -852,3 +845,11 @@ def test_timeseries_partition_validation():
         partitions=(("a", "b"),),
     )
     assert ok.column_names() == ["a", "b"]
+
+
+def test_timeseries_rejects_nan():
+    t = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="leaves"):
+        TimeSeries(t, {"a": [0.5, np.nan, 0.5]}, probability_channels=("a",))
+    with pytest.raises(ValueError, match="sums to"):
+        TimeSeries(t, {"a": [1.0, np.nan, 1.0]}, partitions=(("a",),))

@@ -17,7 +17,6 @@ from ergodyn.emit import (
     format_series_csv,
     format_summary_json,
     format_sweep_csv,
-    read_series_csv,
     write_series_csv,
 )
 from ergodyn.errors import ConfigError, EngineDisagreementError
@@ -27,6 +26,7 @@ from ergodyn.scenarios import (
     SCENARIOS,
     ScenarioConfig,
     _assemble,
+    _peak_residual,
     load_config,
     parse_config_text,
     run_scenario,
@@ -94,7 +94,10 @@ def test_config_field_level_errors():
         with pytest.raises(ConfigError) as err:
             run("custom-state", **overrides)
         assert err.value.field == field
-    for key, value in (("omega_0", "-1"), ("N", "0"), ("L", "1e6"), ("r_E", "0")):
+    for key, value in (
+        ("omega_0", "-1"), ("N", "0"), ("L", "1e6"), ("r_E", "0"),
+        ("r_S", "-1"), ("L", "-5"), ("L", "0"),
+    ):
         with pytest.raises(ConfigError) as err:
             run("gravitational-mzi", **{key: value})
         assert err.value.field == key
@@ -333,10 +336,10 @@ def test_csv_shape_and_roundtrip(tmp_path):
     assert not lines[0].endswith(",")
     path = tmp_path / "out.csv"
     write_series_csv(series, path)
-    times, channels = read_series_csv(path)
-    np.testing.assert_array_equal(times, series.times)
-    for name, values in channels.items():
-        np.testing.assert_array_equal(values, series.channels[name])
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(table[:, 0], series.times)
+    for k, name in enumerate(lines[0].split(",")[1:], start=1):
+        np.testing.assert_array_equal(table[:, k], series.channels[name])
 
 
 def test_emission_byte_stable(tmp_path):
@@ -362,12 +365,10 @@ def test_csv_probability_rows_sum_to_one(tmp_path):
     series, _ = run("two-mode-separable", steps="81", engine="exponential")
     path = tmp_path / "sep.csv"
     write_series_csv(series, path)
-    _, channels = read_series_csv(path)
-    total = (
-        channels["p_0_0"]
-        + channels["p_2_0"]
-        + channels["p_0_3"]
-        + channels["p_2_3"]
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    header = path.read_text().splitlines()[0].split(",")
+    total = sum(
+        table[:, header.index(name)] for name in ("p_0_0", "p_2_0", "p_0_3", "p_2_3")
     )
     np.testing.assert_allclose(total, 1.0, atol=1e-9)
 
@@ -436,6 +437,9 @@ def test_cli_validation_error_exit_code(capsys):
         (["--scenario", "custom-state", "--cutoffs", "1", "--omega", "0",
           "--amplitudes", "1,1"], "omega"),
         (["--scenario", "gravitational-mzi", "--omega_0", "-1"], "omega_0"),
+        (["--scenario", "gravitational-mzi", "--r_S", "-1"], "r_S"),
+        (["--scenario", "gravitational-mzi", "--L", "-5"], "L"),
+        (["--scenario", "gravitational-mzi", "--L", "0"], "L"),
         (["--steps", "100000000"], "steps"),
         (["--scenario", "moon-perturbative", "--eps", "-1"], "eps"),
         (["--scenario", "moon-perturbative", "--omega_b", "-0.5"], "omega_b"),
@@ -691,6 +695,39 @@ def test_cli_long_rk4_horizon_fails_cleanly(capsys):
     assert code == 2
     assert "RK4 state norm drift" in capsys.readouterr().err
     assert elapsed < 10.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--t_max", "1e18", "--steps", "3"],
+        ["--engine", "rk4", "--t_max", "1e300", "--steps", "3", "--csv"],
+    ],
+    ids=["all", "rk4-csv"],
+)
+def test_cli_nan_rk4_state_fails_cleanly(tmp_path, capsys, args):
+    # the powered RK4 step overflows to a NaN state, whose drift must fail
+    # the gate rather than pass every comparison
+    csv_path = tmp_path / "out.csv"
+    if args[-1] == "--csv":
+        args = [*args, str(csv_path)]
+    assert main(["run", *args]) == 2
+    err = capsys.readouterr().err
+    assert "norm drift nan" in err
+    assert "Traceback" not in err
+    assert not csv_path.exists()
+
+
+def test_peak_residual_takes_a_nan_as_the_peak():
+    zeros = np.zeros(3)
+    a = {"p": np.array([0.0, 0.5, 0.0]), "q": np.array([0.0, np.nan, 0.0]),
+         "r": np.array([0.0, 0.0, 0.7])}
+    value, channel, k = _peak_residual(a, {name: zeros for name in a})
+    assert np.isnan(value) and (channel, k) == ("q", 1)
+    a["q"] = zeros
+    assert _peak_residual(a, {name: zeros for name in a}) == (0.7, "r", 2)
 
 
 def test_cli_selftest_wiring(monkeypatch, capsys):
