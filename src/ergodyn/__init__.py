@@ -25,7 +25,6 @@ from .dynamics import (
     evolve_probabilities,
     expanded_generator,
     propagator,
-    read_channels,
     rk4_expectation_series,
     survival_probability,
 )
@@ -56,7 +55,6 @@ from .passive import (
     build_passive_unitary,
     decompose_against_ground,
     passive_state,
-    passive_unitary_for,
 )
 from .scenarios import ScenarioConfig, load_config, run_scenario, sweep
 

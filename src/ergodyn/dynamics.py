@@ -13,7 +13,8 @@ keeps H as its diagonal energies and U_p as its angle and excited vector,
 per block of modes the rotation factorizes over, and propagates on that
 invariant subspace: an at most 3x3 Hermitian block per factor, so the
 propagator stays unitary at machine precision for every t and no N x N
-array is formed.
+array is formed.  psi(t) is kept, and read out by one :func:`read_channels`
+for every route, on the rows of psi(0)'s support and of those subspaces.
 
 Two independent numerical routes share that propagation core and differ
 only in the flow of each block: the exact exponential from the block's
@@ -285,15 +286,6 @@ def propagator(h_eff: np.ndarray, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
-def _evolved_states(generator_matrix: np.ndarray, psi0: np.ndarray, t_grid):
-    """Columns psi(t) of a dense generator from one Hermitian eigendecomposition
-    (oracle of :func:`_reduced_states`)."""
-    evals, evecs = np.linalg.eigh(generator_matrix)
-    modes = evecs.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(evals, np.asarray(t_grid, dtype=float)))
-    return evecs @ (phases * modes[:, None])
-
-
 def _exponential_flow(f: _Factor, t: np.ndarray):
     """Exact flow of a factor's block: in the eigenbasis P = Q V of the
     block, exp(-i L t) - 1, one phase per column of P and time."""
@@ -304,70 +296,90 @@ def _exponential_flow(f: _Factor, t: np.ndarray):
 def _rk4_flow(f: _Factor, t: np.ndarray, h: float, substeps: int):
     """RK4 flow of a factor's block in the basis Q: S^k - 1 at the k-th grid
     time, for S the ``substeps``-th power of one step, the degree-4 Taylor
-    polynomial of x = -i h A.  The powers S^k are stacked by doubling."""
+    polynomial of x = -i h A.  The powers S^k are stacked by doubling; a
+    rounded S whose powers overflow raises :class:`RefinementError`."""
     x = -1j * h * f.block
     eye = np.eye(len(x))
     step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
-    power = np.linalg.matrix_power(step, substeps)
-    stack = eye[None]
-    while len(stack) < t.size:
-        stack = np.concatenate([stack, stack @ power])
-        power = power @ power
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            power = np.linalg.matrix_power(step, substeps)
+            stack = eye[None]
+            while len(stack) < t.size:
+                stack = np.concatenate([stack, stack @ power])
+                power = power @ power
+    except FloatingPointError:
+        raise RefinementError(
+            f"RK4 step matrix overflows when powered to {substeps:.3g} substeps "
+            "per sample; shorten t_max or choose engine exponential"
+        ) from None
     return f.basis, stack[: t.size] - eye
 
 
 def _reduced_states(
     dyn: EffectiveDynamics, psi0: np.ndarray, t_grid, block_flow=_exponential_flow
-) -> np.ndarray:
-    """Columns psi(t) for all grid times, propagated factor by factor.
+):
+    """``(rows, states)``: psi(t) for all grid times on the sorted flat
+    indices ``rows`` it can reach, propagated factor by factor.
 
     Along the modes of each factor, psi(t) = psi + P F(t) P^dag psi, where
     ``block_flow(factor, t)`` gives the basis P of the factor's invariant
     subspace and F(t) + 1, the flow of its block: one phase per column of P
     and time when F is diagonal (an array of shape (columns, T)), otherwise
-    one matrix per time (shape (T, columns, columns)).  The part of psi left
-    out of P must be frozen, which one application of H_eff checks
-    (ValueError otherwise).  O(N T) per factor.
+    one matrix per time (shape (T, columns, columns)).  So ``rows`` is the
+    product over the factors of the local indices where P or the marginal
+    of psi0 is nonzero.  The part of psi0 left out of P must be frozen,
+    which one application of H_eff to the whole factor checks (ValueError
+    otherwise).  O(N) for the check, O(rows T) per factor for the states.
     """
     t = np.asarray(t_grid, dtype=float)
     dims = [f.dimension for f in dyn.factors]
-    states = np.repeat(psi0[:, None], t.size, axis=1)
+    local = []
     for i, f in enumerate(dyn.factors):
         q = f.basis
-        left = math.prod(dims[:i])
         # axis 1 runs over this factor's block; axis 0 over the modes before it
-        start = psi0.reshape(left, dims[i], -1)
-        rest = start - q @ (q.conj().T @ start)
-        moved = np.linalg.norm(f.apply(rest))
+        start = psi0.reshape(math.prod(dims[:i]), dims[i], -1)
+        moved = np.linalg.norm(f.apply(start - q @ (q.conj().T @ start)))
         if moved > LEAKAGE_TOL * f.scale:
             raise ValueError(
                 f"state part outside the invariant subspace moves: {moved:g}"
             )
+        local.append(np.flatnonzero(np.any(q, axis=1) | np.any(start, axis=(0, 2))))
+    grid = np.ix_(*local)
+    states = np.repeat(psi0.reshape(dims)[grid].reshape(-1, 1), t.size, axis=1)
+    for i, f in enumerate(dyn.factors):
         p, flow = block_flow(f, t)
-        view = states.reshape(left, dims[i], -1)
-        coeffs = (p.conj().T @ view).reshape(left, p.shape[1], -1, t.size)
+        p = p[local[i]]
+        view = states.reshape(math.prod(map(len, local[:i])), len(p), -1)
+        coeffs = (p.conj().T @ view).reshape(len(view), p.shape[1], -1, t.size)
         if flow.ndim == 2:
             coeffs *= flow[:, None, :]
         else:
             coeffs = np.einsum("tij,ljkt->likt", flow, coeffs)
-        view += p @ coeffs.reshape(left, p.shape[1], -1)
-    return states
+        view += p @ coeffs.reshape(len(view), p.shape[1], -1)
+    return np.ravel_multi_index(grid, dims).ravel(), states
 
 
-def read_channels(states: np.ndarray, channels: dict, occupations=None) -> dict:
-    """Channel series of the state columns ``states[:, t]``.
+def read_channels(rows, states, psi0, channels: dict, occupations=None) -> dict:
+    """Channel series and ``p_survival`` of psi(t), for every route.
 
-    ``channels`` maps a name to a list or array of flat Fock indices; the
-    channel is the summed population of those basis vectors.  ``n_expect``
-    is added from the per-index occupation counts when ``occupations`` is
-    given.
+    ``states[j, t]`` is the amplitude of the flat Fock index ``rows[j]``
+    (sorted) at the t-th time; psi(t) is zero off ``rows``.  ``channels``
+    maps a name to a list or array of flat Fock indices; the channel is
+    the summed population of those basis vectors.  ``n_expect`` is added
+    from the per-index occupation counts when ``occupations`` is given.
+    ``p_survival`` is |psi0^dag psi(t)|^2 for the initial amplitudes psi0.
     """
     pops = states.real**2 + states.imag**2
-    out = {name: pops[idx].sum(axis=0) for name, idx in channels.items()}
+    out = {}
+    for name, idx in channels.items():
+        pos = np.minimum(np.searchsorted(rows, idx), rows.size - 1)
+        out[name] = pops[pos[rows[pos] == idx]].sum(axis=0)
     if occupations is not None:
         out["n_expect"] = np.einsum(
-            "it,it->t", states.conj(), occupations[:, None] * states
+            "it,it->t", states.conj(), occupations[rows, None] * states
         ).real
+    out["p_survival"] = np.abs(psi0[rows].conj() @ states) ** 2
     return out
 
 
@@ -387,11 +399,10 @@ def rk4_expectation_series(
     channels: dict,
     t_grid,
     occupations=None,
-    survival: bool = False,
     substeps: int | None = None,
     omega_max: float = 0.0,
 ) -> dict[str, np.ndarray]:
-    """RK4 route for the channels of :func:`read_channels`.
+    """RK4 route for the readout of :func:`read_channels`.
 
     Classical RK4 on d psi/dt = -i H_eff psi.  For this linear equation one
     step of size h is exactly the degree-4 Taylor polynomial of
@@ -400,10 +411,10 @@ def rk4_expectation_series(
     propagation core of the exponential route.  No eigendecomposition is
     used, so the route is independent of the exponential propagator.  The
     exact flow conserves the state norm; a drift beyond RK4_DRIFT_TOL at
-    any grid time aborts with :class:`RefinementError`.  ``survival`` adds
-    ``p_survival``.  ``psi0`` is the state at t = 0, as for the exponential
-    route, and the steps start there, so the grid must begin at 0
-    (:class:`GridError` otherwise).
+    any grid time aborts with :class:`RefinementError`, and so does a step
+    matrix that overflows when powered to the substep count.  ``psi0`` is
+    the state at t = 0, as for the exponential route, and the steps start
+    there, so the grid must begin at 0 (:class:`GridError` otherwise).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -419,7 +430,7 @@ def rk4_expectation_series(
         raise GridError(f"substeps must be >= 1, got {substeps}")
     h = float(dt[0]) / substeps
     flow = functools.partial(_rk4_flow, h=h, substeps=substeps)
-    states = _reduced_states(dyn, psi0.amplitudes, t, flow)
+    rows, states = _reduced_states(dyn, psi0.amplitudes, t, flow)
     drift = np.abs(np.linalg.norm(states, axis=0) - 1.0)
     # written so that a NaN drift fails too
     bad = np.flatnonzero(~(drift <= RK4_DRIFT_TOL))
@@ -429,10 +440,7 @@ def rk4_expectation_series(
             f"norm drift {drift[k]:g} at t={t[k]:g}; reduce the step "
             f"(current h={h:g})"
         )
-    out = read_channels(states, channels, occupations)
-    if survival:
-        out["p_survival"] = np.abs(psi0.amplitudes.conj() @ states) ** 2
-    return out
+    return read_channels(rows, states, psi0.amplitudes, channels, occupations)
 
 
 class TimeSeries:
@@ -496,24 +504,20 @@ def evolve_probabilities(
     Uses the exponential route on the reduced blocks.  When ``partition`` is true the
     channels are declared a probability partition (they must sum to one on
     the grid).  ``n_expect`` is added when the per-index ``occupations``
-    are given.
+    are given; ``p_survival`` is left to :func:`survival_probability`.
     """
-    states = _reduced_states(dyn, psi0.amplitudes, t_grid)
+    rows, states = _reduced_states(dyn, psi0.amplitudes, t_grid)
+    out = read_channels(rows, states, psi0.amplitudes, channels, occupations)
+    del out["p_survival"]
     names = list(channels)
     return TimeSeries(
-        t_grid,
-        read_channels(states, channels, occupations),
-        probability_channels=names,
+        t_grid, out, probability_channels=names,
         partitions=(tuple(names),) if partition else (),
     )
 
 
 def survival_probability(dyn: EffectiveDynamics, psi0: Ket, t_grid) -> TimeSeries:
     """|<psi(0)|U(t)|psi(0)>|^2 on the grid, as channel ``p_survival``."""
-    states = _reduced_states(dyn, psi0.amplitudes, t_grid)
-    amp = psi0.amplitudes.conj() @ states
-    return TimeSeries(
-        t_grid,
-        {"p_survival": np.abs(amp) ** 2},
-        probability_channels=("p_survival",),
-    )
+    rows, states = _reduced_states(dyn, psi0.amplitudes, t_grid)
+    out = read_channels(rows, states, psi0.amplitudes, {})
+    return TimeSeries(t_grid, out, probability_channels=("p_survival",))

@@ -88,11 +88,6 @@ def build_passive_unitary(dec: GroundDecomposition, system: ModeSystem) -> np.nd
     )
 
 
-def passive_unitary_for(psi: Ket, system: ModeSystem) -> np.ndarray:
-    """Convenience wrapper: decompose then build the rotation."""
-    return build_passive_unitary(decompose_against_ground(psi), system)
-
-
 def passive_state(rho: DensityOperator, hamiltonian: np.ndarray) -> DensityOperator:
     """Unitary rearrangement of rho with minimal energy.
 

@@ -56,11 +56,12 @@ PERT_RESIDUAL_COEFF = 8.0
 MAX_STEPS = 1_000_000
 
 #: most entries (N + C) x steps per run, for N basis states and C series
-#: columns: the state block and the channel table.  A run peaks at 56 bytes
-#: per entry or less (tracemalloc, engine all, run and compare with CSV: N
-#: 216 to 2002 with up to 1543 columns at 2001 samples, and the default
-#: registers at 1e5 samples): under 2.3 GB, below a third of an 8 GB machine.
-#: Every default scenario fits at MAX_STEPS under run.
+#: columns: the channel table, and the state block on the rows psi(t) can
+#: reach, all N for a full-support state.  A run peaks at 53 bytes per entry
+#: or less (tracemalloc, engine all, run and compare with CSV: N 216 to 2002
+#: with up to 1543 columns at 2001 samples, and the default registers at 1e5
+#: samples): under 2.2 GB, below a third of an 8 GB machine.  Every default
+#: scenario fits at MAX_STEPS under run.
 MAX_RUN_ENTRIES = 40_000_000
 
 #: keys that set up the run rather than the scenario
@@ -222,7 +223,7 @@ class _Model:
     channels: list | None
     # closed form, t -> one probability per channel; None: there is none
     probabilities: typing.Callable | None = None
-    survival: typing.Callable | None = None  # t -> p_survival; None: one
+    p_return: typing.Callable | None = None  # t -> p_survival; None: one
     number: typing.Callable | None = None  # t -> n_expect; None: sum |occ| p_occ
     # one single-mode state per mode if the rotation factorizes over modes
     mode_terms: list | None = None
@@ -250,7 +251,7 @@ def _single_mode(v: dict) -> _Model:
         terms={(0,): math.cos(theta), (n,): math.sin(theta)},
         channels=[(0,), (n,)],
         probabilities=lambda t: cf.two_level_probabilities(theta, gap, t),
-        survival=lambda t: cf.two_level_survival(theta, gap, t),
+        p_return=lambda t: cf.two_level_survival(theta, gap, t),
         omega_osc=cf.oscillation_frequency(theta, gap),
     )
 
@@ -285,7 +286,7 @@ def _product(ns, omegas, base_omega) -> _Model:
         terms={occ: root ** len(ns) for occ in corners},
         channels=corners,
         probabilities=probabilities,
-        survival=lambda t: math.prod(
+        p_return=lambda t: math.prod(
             cf.two_level_survival(math.pi / 4, n * w, t) for n, w in zip(ns, omegas)
         ),
         # the per-mode sum, which rounds differently from sum |occ| p_occ
@@ -308,7 +309,7 @@ def _noon(v: dict) -> _Model:
         terms={(0, 0): root, (n, m): root},
         channels=[(0, 0), (n, m)],
         probabilities=lambda t: cf.noon_probabilities(n, m, omega_a, omega_b, t),
-        survival=lambda t: cf.two_level_survival(math.pi / 4, gap, t),
+        p_return=lambda t: cf.two_level_survival(math.pi / 4, gap, t),
         omega_osc=cf.oscillation_frequency(math.pi / 4, gap),
     )
 
@@ -654,7 +655,7 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
                 )
             else:
                 out["n_expect"] = model.number(t)
-            out["p_survival"] = model.survival(t) if model.survival else 1.0
+            out["p_survival"] = model.p_return(t) if model.p_return else 1.0
             return {
                 k: np.broadcast_to(v, t.shape).astype(float) for k, v in out.items()
             }
@@ -688,13 +689,11 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
 
 
 def _exponential_channels(prep: _Prepared, t_grid, occupations) -> dict:
-    series = evolve_probabilities(
-        prep.dyn, prep.psi0, prep.channels, t_grid, occupations
-    )
-    surv = survival_probability(prep.dyn, prep.psi0, t_grid)
-    channels = dict(series.channels)
-    channels["p_survival"] = surv.channels["p_survival"]
-    return channels
+    args = prep.dyn, prep.psi0
+    return {
+        **evolve_probabilities(*args, prep.channels, t_grid, occupations).channels,
+        **survival_probability(*args, t_grid).channels,
+    }
 
 
 def _standard_channels(prep: _Prepared, t_grid, occupations) -> dict:
@@ -703,9 +702,9 @@ def _standard_channels(prep: _Prepared, t_grid, occupations) -> dict:
     H is diagonal in the Fock basis, so each amplitude only turns its phase.
     """
     amps = prep.psi0.amplitudes
-    states = amps[:, None] * np.exp(-1j * np.outer(prep.dyn.energies, t_grid))
-    out = read_channels(states, prep.channels, occupations)
-    out["p_survival"] = np.abs(amps.conj() @ states) ** 2
+    rows = np.flatnonzero(amps)
+    states = amps[rows, None] * np.exp(-1j * np.outer(prep.dyn.energies[rows], t_grid))
+    out = read_channels(rows, states, amps, prep.channels, occupations)
     return {"std_" + name: values for name, values in out.items()}
 
 
@@ -739,7 +738,6 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
             prep.channels,
             t_grid,
             occupations,
-            survival=True,
             omega_max=max(prep.system.omega),
         )
     primary = routes["exponential" if engine == "all" else engine]

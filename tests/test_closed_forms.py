@@ -8,6 +8,8 @@ from ergodyn import (
     MoonParams,
     balanced_superposition_number,
     balanced_superposition_probabilities,
+    build_passive_unitary,
+    decompose_against_ground,
     detuning_response,
     effective_hamiltonian,
     fock_ket,
@@ -18,7 +20,6 @@ from ergodyn import (
     noon_probabilities,
     oscillation_frequency,
     oscillation_frequency_from_coherence,
-    passive_unitary_for,
     product_recurrence_possible,
     separable_pair_probabilities,
     superposition,
@@ -230,9 +231,8 @@ def full_moon_simulation(params: MoonParams, t_grid):
             (0, params.n_occ): np.sin(params.phi),
         },
     )
-    h_eff = effective_hamiltonian(
-        free_hamiltonian(sys_), passive_unitary_for(psi, sys_)
-    )
+    u_p = build_passive_unitary(decompose_against_ground(psi), sys_)
+    h_eff = effective_hamiltonian(free_hamiltonian(sys_), u_p)
     pa = np.diag(fock_ket(sys_, (params.m_occ, 0)).amplitudes.real)
     pb = np.diag(fock_ket(sys_, (0, params.n_occ)).amplitudes.real)
     out_a, out_b = [], []
@@ -287,7 +287,7 @@ def test_moon_dyson_route_reproduces_first_order_formula():
     psi = superposition(
         sys_, {(n_occ, 0): np.cos(phi), (0, n_occ): np.sin(phi)}
     )
-    u_p = passive_unitary_for(psi, sys_)
+    u_p = build_passive_unitary(decompose_against_ground(psi), sys_)
     h_eps = effective_hamiltonian(free_hamiltonian(sys_), u_p)
     sys_0 = ModeSystem((params.omega_a, params.omega_a), (n_occ, n_occ))
     h_0 = effective_hamiltonian(free_hamiltonian(sys_0), u_p)

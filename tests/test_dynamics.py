@@ -11,6 +11,7 @@ from ergodyn import (
     RefinementError,
     Ket,
     ModeSystem,
+    build_passive_unitary,
     decompose_against_ground,
     effective_dynamics,
     effective_hamiltonian,
@@ -21,7 +22,6 @@ from ergodyn import (
     free_energies,
     free_hamiltonian,
     occupation_counts,
-    passive_unitary_for,
     propagator,
     rk4_expectation_series,
     superposition,
@@ -33,8 +33,8 @@ from ergodyn import (
 from ergodyn.dynamics import (
     LEAKAGE_TOL,
     TimeSeries,
-    _evolved_states,
     _projected_block,
+    _reduced_states,
     read_channels,
 )
 from ergodyn.scenarios import TOL_RK4, _assemble, load_config, run_scenario
@@ -53,7 +53,8 @@ def whole_register(sys_, psi):
 
 def dense_generator(sys_, psi):
     """Dense oracle H - U_p^dag H U_p of the same rotation."""
-    return effective_hamiltonian(free_hamiltonian(sys_), passive_unitary_for(psi, sys_))
+    u_p = build_passive_unitary(decompose_against_ground(psi), sys_)
+    return effective_hamiltonian(free_hamiltonian(sys_), u_p)
 
 
 def two_level_setup(theta, gap, cutoff=1):
@@ -61,6 +62,11 @@ def two_level_setup(theta, gap, cutoff=1):
     sys_ = ModeSystem((gap,), (cutoff,))
     psi = superposition(sys_, {(0,): np.cos(theta), (1,): np.sin(theta)})
     return sys_, psi, whole_register(sys_, psi)
+
+
+def dense_states(h_eff, psi, t_grid):
+    """Columns exp(-i H_eff t) psi of the dense propagator, one per grid time."""
+    return np.stack([propagator(h_eff, t) @ psi.amplitudes for t in t_grid], axis=1)
 
 
 def random_eigen_system(rng, dim):
@@ -96,7 +102,7 @@ def test_two_level_block_matches_direct_product():
     expected_block = s * gap * np.array([[-s, c], [c, s]])
     np.testing.assert_allclose(dyn.dense().real, expected_block, atol=1e-12)
     # independent route: build U_p H U_p^dag by hand
-    u = passive_unitary_for(psi, sys_)
+    u = build_passive_unitary(decompose_against_ground(psi), sys_)
     h = free_hamiltonian(sys_)
     np.testing.assert_allclose(dyn.dense(), h - u.conj().T @ h @ u, atol=1e-14)
 
@@ -157,7 +163,7 @@ def test_expanded_generator_equals_conjugation_difference():
         sys_ = ModeSystem((1.0,), (dim - 1,))
         dec = decompose_against_ground(psi)
         g = expanded_generator(h, dec)
-        u = passive_unitary_for(psi, sys_)
+        u = build_passive_unitary(dec, sys_)
         oracle = u.conj().T @ h @ u - h
         np.testing.assert_allclose(g, oracle, atol=1e-10)
         h_eff = effective_hamiltonian(h, u)
@@ -226,7 +232,8 @@ def test_propagator_unitary_and_matches_expm():
         dim = int(rng.integers(2, 8))
         h, psi = random_eigen_system(rng, dim)
         sys_ = ModeSystem((1.0,), (dim - 1,))
-        h_eff = effective_hamiltonian(h, passive_unitary_for(psi, sys_))
+        u_p = build_passive_unitary(decompose_against_ground(psi), sys_)
+        h_eff = effective_hamiltonian(h, u_p)
         t = float(rng.uniform(0.0, 10.0))
         u = propagator(h_eff, t)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-11)
@@ -287,7 +294,7 @@ def test_rk4_static_generator_keeps_operator():
     t = np.linspace(0.0, 5.0, 11)
     got = rk4_expectation_series(
         dyn, psi, {"p_0": [0], "p_other": [1, 2]}, t,
-        occupation_counts(sys_), survival=True, substeps=4,
+        occupation_counts(sys_), substeps=4,
     )
     assert got.keys() == {"p_0", "p_other", "n_expect", "p_survival"}
     np.testing.assert_array_equal(got["p_0"], 1.0)
@@ -316,8 +323,7 @@ def test_rk4_matches_closed_form_at_default_step():
     sys_, psi, dyn = two_level_setup(theta, gap)
     t = np.linspace(0.0, 2 * np.pi / (np.sin(theta) * gap), 201)
     got = rk4_expectation_series(
-        dyn, psi, {"pe": [flat_index(sys_, (1,))]}, t, survival=True,
-        omega_max=gap,
+        dyn, psi, {"pe": [flat_index(sys_, (1,))]}, t, omega_max=gap,
     )
     _, expected = two_level_probabilities(theta, gap, t)
     assert np.abs(got["pe"] - expected).max() < 1e-8
@@ -391,7 +397,7 @@ def test_rk4_matches_exponential_on_random_custom_states(cutoffs, data):
         occupations = occupation_counts(prep.system)
         t = np.linspace(0.0, 6.0, 25)
         got = rk4_expectation_series(
-            prep.dyn, prep.psi0, prep.channels, t, occupations, survival=True,
+            prep.dyn, prep.psi0, prep.channels, t, occupations,
             omega_max=max(prep.system.omega),
         )
         expected = dict(
@@ -419,12 +425,13 @@ def test_subspace_rk4_matches_dense_rk4(cutoffs, substeps, data):
     occupations = occupation_counts(prep.system)
     t = np.linspace(0.0, 3.0, 13)
     got = rk4_expectation_series(
-        prep.dyn, prep.psi0, prep.channels, t, occupations, survival=True,
-        substeps=substeps,
+        prep.dyn, prep.psi0, prep.channels, t, occupations, substeps=substeps,
     )
     states = dense_rk4_states(prep.dyn, prep.psi0, t, substeps)
-    expected = read_channels(states, prep.channels, occupations)
-    expected["p_survival"] = np.abs(prep.psi0.amplitudes.conj() @ states) ** 2
+    expected = read_channels(
+        np.arange(len(states)), states, prep.psi0.amplitudes, prep.channels,
+        occupations,
+    )
     assert got.keys() == expected.keys()
     for name, values in expected.items():
         assert np.all(
@@ -453,7 +460,7 @@ def test_rk4_route_calls_no_eigensolver(monkeypatch, overrides):
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             patch.setattr(np.linalg, name, refuse)
         got = rk4_expectation_series(
-            prep.dyn, prep.psi0, prep.channels, t, occupations, survival=True,
+            prep.dyn, prep.psi0, prep.channels, t, occupations,
             omega_max=max(prep.system.omega),
         )
         with pytest.raises(AssertionError, match="eigensolver"):
@@ -547,10 +554,9 @@ def test_index_readout_matches_dense_projectors(cutoffs, data):
         },
     )
     prep = _assemble(cfg)
-    states = _evolved_states(
-        prep.dyn.dense(), prep.psi0.amplitudes, np.linspace(0.0, 5.0, 7)
-    )
-    got = read_channels(states, prep.channels)
+    states = dense_states(prep.dyn.dense(), prep.psi0, np.linspace(0.0, 5.0, 7))
+    got = read_channels(np.arange(dim), states, prep.psi0.amplitudes, prep.channels)
+    del got["p_survival"]
 
     covered = np.zeros((dim, dim), dtype=complex)
     dense = {}
@@ -621,8 +627,8 @@ def test_product_rotation_factorizes_generator():
     sys_b = ModeSystem((omega_b,), (m + 1,))
     psi_a = superposition(sys_a, {(0,): 1.0, (n,): 1.0})
     psi_b = superposition(sys_b, {(0,): 1.0, (m,): 1.0})
-    u_a = passive_unitary_for(psi_a, sys_a)
-    u_b = passive_unitary_for(psi_b, sys_b)
+    u_a = build_passive_unitary(decompose_against_ground(psi_a), sys_a)
+    u_b = build_passive_unitary(decompose_against_ground(psi_b), sys_b)
     h_a = effective_hamiltonian(free_hamiltonian(sys_a), u_a)
     h_b = effective_hamiltonian(free_hamiltonian(sys_b), u_b)
 
@@ -687,9 +693,11 @@ def _assert_reduced_matches_dense(prep, u_p):
         evolve_probabilities(prep.dyn, prep.psi0, prep.channels, t, occupations).channels
     )
     got.update(survival_probability(prep.dyn, prep.psi0, t).channels)
-    states = _evolved_states(h_eff, prep.psi0.amplitudes, t)
-    expected = read_channels(states, prep.channels, occupations)
-    expected["p_survival"] = np.abs(prep.psi0.amplitudes.conj() @ states) ** 2
+    states = dense_states(h_eff, prep.psi0, t)
+    expected = read_channels(
+        np.arange(sys_.dimension), states, prep.psi0.amplitudes, prep.channels,
+        occupations,
+    )
     assert got.keys() == expected.keys()
     for name, values in expected.items():
         bound = 1e-12 * np.maximum(1.0, np.abs(values))
@@ -727,7 +735,8 @@ def test_reduced_route_matches_dense_on_custom_states(cutoffs, full, seed, data)
         },
     )
     prep = _assemble(cfg)
-    _assert_reduced_matches_dense(prep, passive_unitary_for(prep.psi0, sys_))
+    u_p = build_passive_unitary(decompose_against_ground(prep.psi0), sys_)
+    _assert_reduced_matches_dense(prep, u_p)
 
 
 @settings(max_examples=15, deadline=None)
@@ -751,9 +760,52 @@ def test_reduced_route_matches_dense_on_products(modes, data):
     u_p = None
     for n, w, c in zip(ns, omega, cutoffs):
         sub = ModeSystem((w,), (c,))
-        u = passive_unitary_for(superposition(sub, {(0,): 1.0, (n,): 1.0}), sub)
+        dec = decompose_against_ground(superposition(sub, {(0,): 1.0, (n,): 1.0}))
+        u = build_passive_unitary(dec, sub)
         u_p = u if u_p is None else np.kron(u_p, u)
     _assert_reduced_matches_dense(prep, u_p)
+
+
+@pytest.mark.parametrize("n, m, cutoffs", [(1, 1, (2, 2)), (2, 3, (3, 4))])
+def test_product_generator_moves_an_entangled_state_on_its_rows(n, m, cutoffs):
+    # per-mode (|0> + |n>)/sqrt(2) rotations drive (|0,0> + |n,m>)/sqrt(2),
+    # whose support is not a product set: psi(t) also fills |n,0> and |0,m>
+    omega = (1.0, 1.7)
+    sys_ = ModeSystem(omega, cutoffs)
+    factors = []
+    for w, c, k in zip(omega, cutoffs, (n, m)):
+        sub = ModeSystem((w,), (c,))
+        factors.append((free_energies(sub), superposition(sub, {(0,): 1.0, (k,): 1.0})))
+    dyn = effective_dynamics(factors)
+    psi0 = superposition(sys_, {(0, 0): 1.0, (n, m): 1.0})
+    ends = [flat_index(sys_, (0, 0)), flat_index(sys_, (n, m))]
+    channels = {
+        "p_0_0": ends[:1],
+        "p_n_m": ends[1:],
+        "p_other": np.setdiff1d(np.arange(sys_.dimension), ends),
+    }
+    occupations = occupation_counts(sys_)
+    t = np.linspace(0.0, 7.0, 15)
+    got = dict(evolve_probabilities(dyn, psi0, channels, t, occupations).channels)
+    got.update(survival_probability(dyn, psi0, t).channels)
+    dense = dense_states(dyn.dense(), psi0, t)
+    expected = read_channels(
+        np.arange(sys_.dimension), dense, psi0.amplitudes, channels, occupations
+    )
+    assert got.keys() == expected.keys()
+    assert expected["p_other"].max() > 0.1
+    for name, values in expected.items():
+        bound = 1e-12 * np.maximum(1.0, np.abs(values))
+        assert np.all(np.abs(got[name] - values) <= bound), name
+    rk4 = rk4_expectation_series(
+        dyn, psi0, channels, t, occupations, omega_max=max(omega)
+    )
+    for name, values in expected.items():
+        assert np.abs(rk4[name] - values).max() <= TOL_RK4, name
+    rows, _ = _reduced_states(dyn, psi0.amplitudes, t)
+    corners = [flat_index(sys_, (a, b)) for a in (0, n) for b in (0, m)]
+    np.testing.assert_array_equal(rows, sorted(corners))
+    assert np.abs(np.delete(dense, rows, axis=0)).max() <= 1e-12
 
 
 def test_corrupted_subspace_trips_the_leakage_gate():

@@ -12,7 +12,6 @@ from ergodyn import (
     decompose_against_ground,
     fock_ket,
     passive_state,
-    passive_unitary_for,
     superposition,
     vacuum_ket,
 )
@@ -93,14 +92,14 @@ def test_decompose_canonical_phase():
 
 
 def test_passive_unitary_identity_at_theta_zero():
-    u = passive_unitary_for(vacuum_ket(SYS5), SYS5)
+    u = build_passive_unitary(decompose_against_ground(vacuum_ket(SYS5)), SYS5)
     np.testing.assert_array_equal(u, np.eye(5))
 
 
 def test_passive_unitary_orthogonal_state():
     n = 3
     psi = fock_ket(SYS5, (n,))
-    u = passive_unitary_for(psi, SYS5)
+    u = build_passive_unitary(decompose_against_ground(psi), SYS5)
     expected = np.eye(5, dtype=complex)
     expected[0, 0] = expected[n, n] = 0.0
     expected[0, n] = 1.0
@@ -111,7 +110,7 @@ def test_passive_unitary_orthogonal_state():
 def test_passive_unitary_balanced():
     n = 3
     psi = superposition(SYS5, {(0,): 1.0, (n,): 1.0})
-    u = passive_unitary_for(psi, SYS5)
+    u = build_passive_unitary(decompose_against_ground(psi), SYS5)
     r = 1.0 / np.sqrt(2.0)
     expected = np.eye(5, dtype=complex)
     expected[0, 0] = expected[n, n] = r
@@ -124,7 +123,7 @@ def test_passive_unitary_roundtrip_and_unitarity():
     rng = np.random.default_rng(5)
     for _ in range(30):
         psi = random_ket(rng, 5)
-        u = passive_unitary_for(psi, SYS5)
+        u = build_passive_unitary(decompose_against_ground(psi), SYS5)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
         mapped = u @ psi.amplitudes

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergodyn import dynamics
 from ergodyn.cli import main
 from ergodyn.dynamics import TimeSeries
 from ergodyn.emit import (
@@ -19,7 +20,7 @@ from ergodyn.emit import (
     format_sweep_csv,
     write_series_csv,
 )
-from ergodyn.errors import ConfigError, EngineDisagreementError
+from ergodyn.errors import ConfigError, EngineDisagreementError, RefinementError
 from ergodyn.scenarios import (
     _SCHEMA,
     MAX_RUN_ENTRIES,
@@ -642,6 +643,24 @@ def test_run_builds_no_dense_matrix(overrides, engine):
     assert (summary["negativity"] is None) == (dim == 5001)
 
 
+def test_exponential_compare_builds_no_state_block_over_the_register():
+    # psi(t) of a single-mode superposition lives on the rows 0 and n: the
+    # exponential and standard routes read it there, not on all n + 1 rows.
+    # an N x T block of complex amplitudes alone would take 16 N T = 323 MB
+    cfg = load_config(
+        None,
+        {"n": "200000", "steps": "101", "engine": "exponential", "comparison": "true"},
+    )
+    tracemalloc.start()
+    try:
+        series, summary = run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary["dimension"] == 200002 and len(series.times) == 101
+    assert peak < 128e6
+
+
 def test_state_size_bound_rejects_before_allocating(capsys):
     # a 10^6-state register over 100 samples passes MAX_RUN_ENTRIES; the
     # check comes before any amplitude vector (16 MB here) exists
@@ -697,27 +716,39 @@ def test_cli_long_rk4_horizon_fails_cleanly(capsys):
     assert elapsed < 10.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "args",
     [
         ["--t_max", "1e18", "--steps", "3"],
+        ["--t_max", "1e300", "--steps", "3"],
         ["--engine", "rk4", "--t_max", "1e300", "--steps", "3", "--csv"],
     ],
-    ids=["all", "rk4-csv"],
+    ids=["all", "all-1e300", "rk4-csv"],
 )
 def test_cli_nan_rk4_state_fails_cleanly(tmp_path, capsys, args):
-    # the powered RK4 step overflows to a NaN state, whose drift must fail
-    # the gate rather than pass every comparison
+    # ~3e20 and ~3e302 substeps per sample: the rounding of the step matrix
+    # grows its powers past the float range.  That ends as one refinement
+    # error naming the substep count, with no numpy warning before it
     csv_path = tmp_path / "out.csv"
     if args[-1] == "--csv":
         args = [*args, str(csv_path)]
     assert main(["run", *args]) == 2
     err = capsys.readouterr().err
-    assert "norm drift nan" in err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert re.match(r"error: RK4 step matrix overflows when powered to \S+e\+\d+ "
+                    r"substeps", err), err
     assert not csv_path.exists()
+
+
+def test_rk4_drift_gate_fails_a_nan_state(monkeypatch):
+    # a NaN state must fail the norm-drift gate rather than pass it
+    def nan_flow(f, t, h, substeps):
+        return f.basis, np.full((t.size, f.basis.shape[1], f.basis.shape[1]), np.nan)
+
+    monkeypatch.setattr(dynamics, "_rk4_flow", nan_flow)
+    with pytest.raises(RefinementError, match="norm drift nan at t=0"):
+        run_scenario(load_config(None, {"engine": "rk4", "steps": "5"}))
 
 
 def test_peak_residual_takes_a_nan_as_the_peak():
