@@ -45,7 +45,6 @@ from .fock import (
     free_energies,
     free_hamiltonian,
     occupation_counts,
-    occupations_of,
     superposition,
     vacuum_ket,
 )

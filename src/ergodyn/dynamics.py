@@ -66,11 +66,11 @@ def _hermitian_part(mat: np.ndarray, dim: int, scale: float) -> np.ndarray:
     conjugation difference must be.
     """
     dev = np.abs(mat - mat.conj().T).max()
-    if dev > HERMITICITY_TOL * scale:
+    if not dev <= HERMITICITY_TOL * scale:
         raise ValueError(f"generator not Hermitian: max deviation {dev:g}")
     mat = (mat + mat.conj().T) / 2.0
     trace = abs(np.trace(mat))
-    if trace > 1e-10 * dim * scale:
+    if not trace <= 1e-10 * dim * scale:
         raise ValueError(f"generator trace {trace:g} not zero")
     return mat
 
@@ -84,7 +84,7 @@ def _projected_block(apply, basis: np.ndarray, scale: float) -> np.ndarray:
     moved = apply(basis)
     block = _hermitian_part(basis.conj().T @ moved, basis.shape[0], scale)
     leak = np.linalg.norm(moved - basis @ block)
-    if leak > LEAKAGE_TOL * scale:
+    if not leak <= LEAKAGE_TOL * scale:
         raise ValueError(f"generator leaks out of its invariant subspace: {leak:g}")
     return block
 
@@ -369,12 +369,20 @@ def read_channels(rows, states, psi0, channels: dict, occupations=None) -> dict:
     the summed population of those basis vectors.  ``n_expect`` is added
     from the per-index occupation counts when ``occupations`` is given.
     ``p_survival`` is |psi0^dag psi(t)|^2 for the initial amplitudes psi0.
+    One search matches every index: O(C + sum |S| + hits T) for C channels S.
     """
-    pops = states.real**2 + states.imag**2
-    out = {}
-    for name, idx in channels.items():
+    table = np.zeros((len(channels), states.shape[1]))
+    if channels:
+        pops = states.real**2 + states.imag**2
+        idx = np.concatenate(list(channels.values()))
+        owner = np.repeat(np.arange(len(channels)), list(map(len, channels.values())))
         pos = np.minimum(np.searchsorted(rows, idx), rows.size - 1)
-        out[name] = pops[pos[rows[pos] == idx]].sum(axis=0)
+        owner, pos = owner[rows[pos] == idx], pos[rows[pos] == idx]
+        # first hits are copied, later ones added in index order, as .sum does
+        first = np.searchsorted(owner, owner) == np.arange(owner.size)
+        table[owner[first]] = pops[pos[first]]
+        np.add.at(table, owner[~first], pops[pos[~first]])
+    out = dict(zip(channels, table))
     if occupations is not None:
         out["n_expect"] = np.einsum(
             "it,it->t", states.conj(), occupations[rows, None] * states
@@ -471,16 +479,25 @@ class TimeSeries:
         self._validate()
 
     def _validate(self):
-        # every check is written so that a NaN fails it
-        for name in self.probability_channels:
-            arr = self.channels[name]
-            if not (arr.min() >= -1e-9 and arr.max() <= 1.0 + 1e-9):
-                raise ValueError(
-                    f"probability channel {name!r} leaves [0,1]: "
-                    f"range [{arr.min():g}, {arr.max():g}]"
-                )
+        # one block of rows: each partition's channels in group order, then
+        # the other probability channels; every check fails on a NaN
+        names = [name for group in self.partitions for name in group]
+        names += self.probability_channels.difference(names)
+        block = np.array([self.channels[n] for n in names]).reshape(-1, self.times.size)
+        # the rows are searched only when the whole block leaves [0, 1]
+        if not (block.min(initial=0.0) >= -1e-9 and block.max(initial=1.0) <= 1 + 1e-9):
+            inside = (block.min(axis=1) >= -1e-9) & (block.max(axis=1) <= 1.0 + 1e-9)
+            for k in np.flatnonzero(~inside):
+                if names[k] in self.probability_channels:
+                    raise ValueError(
+                        f"probability channel {names[k]!r} leaves [0,1]: "
+                        f"range [{block[k].min():g}, {block[k].max():g}]"
+                    )
+        start = 0
         for group in self.partitions:
-            total = sum(self.channels[name] for name in group)
+            # rows added one after another, as sum() over the group adds them
+            total = np.add.reduce(block[start:start + len(group)], axis=0)
+            start += len(group)
             dev = np.abs(total - 1.0).max()
             if not dev <= 1e-9:
                 raise ValueError(

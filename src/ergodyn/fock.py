@@ -69,17 +69,6 @@ def flat_index(system: ModeSystem, occupations) -> int:
     return idx
 
 
-def occupations_of(system: ModeSystem, index: int) -> tuple[int, ...]:
-    """Inverse of :func:`flat_index`."""
-    if not 0 <= index < system.dimension:
-        raise ValueError(f"index {index} outside [0, {system.dimension})")
-    occ = []
-    for c in reversed(system.cutoff):
-        occ.append(index % (c + 1))
-        index //= c + 1
-    return tuple(reversed(occ))
-
-
 class Ket:
     """Normalized complex state vector over the truncated basis."""
 

@@ -37,7 +37,6 @@ from .fock import (
     flat_index,
     free_energies,
     occupation_counts,
-    occupations_of,
     superposition,
 )
 from .measures import BipartitionSpec, l1_coherence, negativity
@@ -101,10 +100,8 @@ class ScenarioConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             items = value if isinstance(value, tuple) else (value,)
-            if any(
-                isinstance(v, (float, complex)) and not cmath.isfinite(v)
-                for v in items
-            ):
+            numbers = [v for v in items if isinstance(v, (float, complex))]
+            if not all(map(cmath.isfinite, numbers)):
                 raise ConfigError(f.name, f"must be finite, got {value}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(
@@ -238,7 +235,7 @@ class _Model:
 
 def _label(occ) -> str:
     """Channel name of an occupation tuple: p_<n0>_<n1>..."""
-    return "p_" + "_".join(str(o) for o in occ)
+    return "p_" + "_".join(map(str, occ))
 
 
 def _single_mode(v: dict) -> _Model:
@@ -618,6 +615,12 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
                 raise ConfigError(
                     "cutoffs", f"cutoff {c} of mode {i} cannot hold occupation {o}"
                 )
+    top = [w * c for w, c in zip(model.omega, cutoffs)]
+    if not math.isfinite(sum(top)):
+        # the frequency key of the largest term; one key may set several modes
+        keys = [k for k in spec.keys if k.startswith("omega")]
+        key = keys[min(top.index(max(top)), len(keys) - 1)]
+        raise ConfigError(key, f"top energy {sum(top):g} leaves the float range")
     system = ModeSystem(model.omega, cutoffs)
     psi = superposition(system, model.terms)
     if model.mode_terms is None:
@@ -633,13 +636,16 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
 
     occupations, rest = model.channels, ()
     if occupations is None:
-        support = np.union1d([0], np.flatnonzero(np.abs(psi.amplitudes) > 1e-12))
-        occupations = [occupations_of(system, k) for k in support]
-        rest = np.setdiff1d(np.arange(system.dimension), support)
+        # one mask, no sort: the vacuum and the support in flat-index order
+        held = np.abs(psi.amplitudes) > 1e-12
+        held[0] = True
+        indices, rest = np.flatnonzero(held)[:, None], np.flatnonzero(~held)
+        shape = [c + 1 for c in cutoffs]
+        occupations = np.hstack(np.unravel_index(indices, shape)).tolist()
+    else:
+        indices = [[flat_index(system, occ)] for occ in occupations]
     labels = [_label(occ) for occ in occupations]
-    channels = {
-        name: [flat_index(system, occ)] for name, occ in zip(labels, occupations)
-    }
+    channels = dict(zip(labels, indices))
     if len(rest):
         channels["p_other"] = rest
 
@@ -667,6 +673,9 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
     if t_default is None:
         t_default = 4 * math.pi / omega_osc if omega_osc > 0 else 10.0
     t_max = t_default if cfg.t_max is None else cfg.t_max
+    # |E| <= sum(top) + |E0|, and |lambda| and every gap are at most 2 |E|
+    if not math.isfinite(4.0 * (sum(top) + abs(cfg.E0)) * t_max):
+        raise ConfigError("t_max", f"{t_max:g} takes phases E t past the float range")
     analytic_tol = TOL_ANALYTIC
     if model.analytic_tol is not None:
         analytic_tol = model.analytic_tol(t_max)

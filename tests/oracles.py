@@ -5,8 +5,9 @@ in ``ergodyn.measures`` and for the mixed-state measure tests; the closed
 4x4 dyad-vector system on the ground/excited plane, an oracle of the
 exponential route; dense RK4 on the N x N generator, the oracle of the
 subspace RK4 route; a first-order Dyson solver, the oracle of the
-perturbative interferometer formula; and the row-by-row ``'%.17g'`` CSV
-formatter, the oracle of the block kernel in ``ergodyn.emit``.
+perturbative interferometer formula; the row-by-row ``'%.17g'`` CSV
+formatter, the oracle of the block kernel in ``ergodyn.emit``; and the
+channel-by-channel readout, the oracle of ``dynamics.read_channels``.
 """
 
 from dataclasses import dataclass
@@ -180,3 +181,19 @@ def per_value_csv(series) -> str:
     row = ",".join(["%.17g"] * table.shape[1])
     lines = [",".join(["t"] + names)] + [row % tuple(r.tolist()) for r in table]
     return "\n".join(lines) + "\n"
+
+
+def read_channels_per_channel(rows, states, psi0, channels, occupations=None):
+    """The readout of :func:`ergodyn.dynamics.read_channels`, one search and
+    one ``.sum(axis=0)`` per channel over the populations of every row."""
+    pops = states.real**2 + states.imag**2
+    out = {}
+    for name, idx in channels.items():
+        pos = np.minimum(np.searchsorted(rows, idx), rows.size - 1)
+        out[name] = pops[pos[rows[pos] == idx]].sum(axis=0)
+    if occupations is not None:
+        out["n_expect"] = np.einsum(
+            "it,it->t", states.conj(), occupations[rows, None] * states
+        ).real
+    out["p_survival"] = np.abs(psi0[rows].conj() @ states) ** 2
+    return out

@@ -42,6 +42,7 @@ from oracles import (
     block_probabilities,
     dense_rk4_states,
     first_order_dyson,
+    read_channels_per_channel,
     subspace_generator,
 )
 
@@ -820,6 +821,46 @@ def test_corrupted_subspace_trips_the_leakage_gate():
     bad, _ = np.linalg.qr(bad)
     with pytest.raises(ValueError, match="leaks out of its invariant subspace"):
         _projected_block(factor.apply, bad, factor.scale)
+
+
+def test_generator_gates_fail_a_nan():
+    # a NaN deviation must fail the gates, not slip past a ">" comparison
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _projected_block(lambda x: np.full(x.shape, np.nan), np.eye(3, 2), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), with_occupations=st.booleans())
+def test_read_channels_matches_the_per_channel_readout(data, with_occupations):
+    # bit for bit: the one-search readout adds a channel's hits in the order
+    # of its indices, as the per-channel sum does.  Disjoint channels over a
+    # random cut of a shuffled register: some indices in no channel, some
+    # off the rows, channels with no row, one row or several
+    dim = data.draw(st.integers(1, 30), label="dim")
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, dim - 1), min_size=1))))
+    steps = data.draw(st.integers(2, 5), label="steps")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shape = (rows.size, steps)
+    # magnitudes over eight decades, so a change of summation order shows
+    states = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** (
+        rng.uniform(-4.0, 4.0, size=(rows.size, 1))
+    )
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    order = data.draw(st.permutations(range(dim)), label="order")
+    cuts = sorted(data.draw(st.lists(st.integers(0, dim), max_size=6), label="cuts"))
+    kept = data.draw(st.lists(st.booleans(), min_size=len(cuts) + 1,
+                              max_size=len(cuts) + 1), label="kept")
+    channels = {
+        f"c{i}": order[a:b] if i % 2 else np.array(order[a:b], dtype=int)
+        for i, (a, b) in enumerate(zip([0, *cuts], [*cuts, dim]))
+        if kept[i]
+    }
+    occupations = rng.integers(0, 30, size=dim) * 1.0 if with_occupations else None
+    got = read_channels(rows, states, psi0, channels, occupations)
+    expected = read_channels_per_channel(rows, states, psi0, channels, occupations)
+    assert list(got) == list(expected)
+    for name, values in expected.items():
+        assert np.array_equal(got[name], values), name
 
 
 def test_state_outside_the_subspace_trips_the_frozen_complement_gate():

@@ -8,13 +8,13 @@ from ergodyn import (
     fock_ket,
     free_hamiltonian,
     occupation_counts,
-    occupations_of,
 )
 
 
 def basis_order(sys_):
-    """Occupations of every flat index, read back through occupations_of."""
-    return [occupations_of(sys_, k) for k in range(sys_.dimension)]
+    """Every occupation tuple of the register, sorted by its flat index."""
+    occupations = np.ndindex(*(c + 1 for c in sys_.cutoff))
+    return sorted(occupations, key=lambda occ: flat_index(sys_, occ))
 
 
 def test_basis_single_mode_enumeration():

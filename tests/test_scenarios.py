@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import fields
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ergodyn
 from ergodyn import dynamics
 from ergodyn.cli import main
 from ergodyn.dynamics import TimeSeries
@@ -249,6 +254,77 @@ def test_custom_state_channels_partition():
     assert summary["residuals"].keys() == {"exponential_vs_rk4"}
 
 
+def _set_op_channels(amplitudes, cutoffs):
+    """The custom-state channel table from set operations on the support:
+    the vacuum and every support index alone, in flat-index order, then the
+    rest of the basis as ``p_other``."""
+    shape = [c + 1 for c in cutoffs]
+    support = np.union1d([0], np.flatnonzero(np.abs(amplitudes) > 1e-12))
+    occupations = list(np.ndindex(*shape))
+    table = {
+        "p_" + "_".join(map(str, occupations[k])): [k] for k in support.tolist()
+    }
+    rest = np.setdiff1d(np.arange(len(amplitudes)), support)
+    if len(rest):
+        table["p_other"] = rest.tolist()
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cutoffs=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    kind=st.sampled_from(["random", "no-vacuum", "full", "single", "last"]),
+    data=st.data(),
+)
+def test_custom_state_channel_table_matches_set_operations(cutoffs, kind, data):
+    dim = math.prod(c + 1 for c in cutoffs)
+    indices = st.integers(1 if kind == "no-vacuum" else 0, dim - 1)
+    if kind == "full":
+        support = set(range(dim))
+    elif kind == "single":
+        support = {data.draw(indices, label="index")}
+    else:
+        support = data.draw(st.sets(indices, min_size=1), label="support")
+        if kind == "last":
+            support.add(dim - 1)
+    if kind == "no-vacuum" and not support:
+        support = {dim - 1}
+    amplitudes = np.zeros(dim, dtype=complex)
+    for k in support:
+        amplitudes[k] = data.draw(
+            st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0), label=f"amp{k}"
+        )
+    cfg = load_config(None, {
+        "scenario": "custom-state",
+        "cutoffs": ",".join(map(str, cutoffs)),
+        "omega": ",".join(str(1.0 + 0.3 * i) for i in range(len(cutoffs))),
+        "amplitudes": ",".join(map(repr, amplitudes.tolist())),
+    })
+    got = _assemble(cfg).channels
+    expected = _set_op_channels(_assemble(cfg).psi0.amplitudes, cutoffs)
+    assert list(got) == list(expected)
+    for name, indices in expected.items():
+        assert np.asarray(got[name]).ravel().tolist() == indices, name
+
+
+def test_custom_state_run_never_imports_numpy_ma():
+    # numpy's set operations import numpy.ma on first use, about 17 ms of a
+    # fresh process; a custom-state run uses none of them
+    code = """
+import sys
+from ergodyn.scenarios import load_config, run_scenario
+for amplitudes in ("0.3,0.1j,0.2,0.5,0.4,0.1,0.2,0.3j,0.6", "0,0.8,0,0,0,0,0,0,0.6j"):
+    run_scenario(load_config(None, {"scenario": "custom-state", "cutoffs": "2,2",
+                                    "omega": "1.0,1.3", "amplitudes": amplitudes}))
+sys.exit("numpy.ma" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(ergodyn.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr or "numpy.ma was imported"
+
+
 def test_multimode_periodicity_flag():
     _, summary = run(
         "multimode-product",
@@ -455,10 +531,14 @@ def test_cli_validation_error_exit_code(capsys):
         (["--scenario", "entangled-noon", "--theta", "2.5"], "theta"),
         (["--scenario", "single-eigenstate", "--theta", "0.3"], "theta"),
         (["--scenario", "two-mode-separable", "--E0", "1"], "E0"),
+        # past the float range: n omega, and the phases lambda t_max
+        (["--omega", "1e308", "--n", "3"], "omega"),
+        (["--t_max", "1e308", "--steps", "3"], "t_max"),
     ):
         assert main(["run", "--engine", "exponential", *args]) == 2
         err = capsys.readouterr().err
-        assert f"configuration error in {field}:" in err
+        assert err.startswith(f"configuration error in {field}:")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
 
