@@ -443,11 +443,11 @@ def criterion_12_structural_properties():
             worst["equivalence"], np.abs(g + h_eff).max()
         )
         grid = np.linspace(0.0, t, 9)
-        rows, states = _reduced_states(
+        rows, basis, coeffs = _reduced_states(
             effective_dynamics([(levels, psi)]), psi.amplitudes, grid
         )
         reduced = np.zeros((dim, grid.size), dtype=complex)
-        reduced[rows] = states
+        reduced[rows] = coeffs if basis is None else basis @ coeffs
         dense = np.stack([propagator(h_eff, s) @ psi.amplitudes for s in grid], axis=1)
         worst["reduced"] = max(worst["reduced"], np.abs(reduced - dense).max())
         # an excited eigenstate stays put
@@ -468,7 +468,8 @@ def criterion_12_structural_properties():
         u_g = build_passive_unitary(decompose_against_ground(vac), sys_)
         h_eff_g = effective_hamiltonian(h, u_g)
         dyn_g = effective_dynamics([(levels, vac)])
-        rows, states = _reduced_states(dyn_g, vac.amplitudes, grid)
+        rows, basis, coeffs = _reduced_states(dyn_g, vac.amplitudes, grid)
+        states = coeffs if basis is None else basis @ coeffs
         if (
             np.any(h_eff_g)
             or np.any(propagator(h_eff_g, t) != np.eye(dim))

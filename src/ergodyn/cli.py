@@ -8,6 +8,7 @@ turned on), sweep, list-scenarios, selftest.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 
@@ -111,6 +112,7 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_SELFTEST
 
 
+@functools.cache  # once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ergodyn",
@@ -147,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

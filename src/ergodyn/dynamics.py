@@ -13,8 +13,10 @@ keeps H as its diagonal energies and U_p as its angle and excited vector,
 per block of modes the rotation factorizes over, and propagates on that
 invariant subspace: an at most 3x3 Hermitian block per factor, so the
 propagator stays unitary at machine precision for every t and no N x N
-array is formed.  psi(t) is kept, and read out by one :func:`read_channels`
-for every route, on the rows of psi(0)'s support and of those subspaces.
+array is formed.  On the rows psi(t) can reach it is kept as B C(t), with B
+fixed ([psi(0), P] for one factor, so C(t) is at most 4 x T, unless the
+states on the rows are no larger), and one :func:`read_channels` reads
+every route from B and C in O(N r + K T + sum |S| T).
 
 Two independent numerical routes share that propagation core and differ
 only in the flow of each block: the exact exponential from the block's
@@ -83,7 +85,8 @@ def _projected_block(apply, basis: np.ndarray, scale: float) -> np.ndarray:
     """
     moved = apply(basis)
     block = _hermitian_part(basis.conj().T @ moved, basis.shape[0], scale)
-    leak = np.linalg.norm(moved - basis @ block)
+    # in units of the scale, so that no square inside the norm overflows
+    leak = np.linalg.norm((moved - basis @ block) / scale) * scale
     if not leak <= LEAKAGE_TOL * scale:
         raise ValueError(f"generator leaks out of its invariant subspace: {leak:g}")
     return block
@@ -319,8 +322,8 @@ def _rk4_flow(f: _Factor, t: np.ndarray, h: float, substeps: int):
 def _reduced_states(
     dyn: EffectiveDynamics, psi0: np.ndarray, t_grid, block_flow=_exponential_flow
 ):
-    """``(rows, states)``: psi(t) for all grid times on the sorted flat
-    indices ``rows`` it can reach, propagated factor by factor.
+    """``(rows, basis, coeffs)``: psi(t) is ``basis @ coeffs`` at the t-th
+    grid time (column t) on the sorted flat indices ``rows`` it can reach.
 
     Along the modes of each factor, psi(t) = psi + P F(t) P^dag psi, where
     ``block_flow(factor, t)`` gives the basis P of the factor's invariant
@@ -330,7 +333,10 @@ def _reduced_states(
     product over the factors of the local indices where P or the marginal
     of psi0 is nonzero.  The part of psi0 left out of P must be frozen,
     which one application of H_eff to the whole factor checks (ValueError
-    otherwise).  O(N) for the check, O(rows T) per factor for the states.
+    otherwise).  One factor gives basis [psi0, P] and coeffs [1; F P^dag psi0]
+    in O(N + T), or the states when there are no more rows than columns of
+    that basis; several give the states on the rows (basis None, the
+    identity), in O(rows T) per factor.
     """
     t = np.asarray(t_grid, dtype=float)
     dims = [f.dimension for f in dyn.factors]
@@ -339,13 +345,25 @@ def _reduced_states(
         q = f.basis
         # axis 1 runs over this factor's block; axis 0 over the modes before it
         start = psi0.reshape(math.prod(dims[:i]), dims[i], -1)
-        moved = np.linalg.norm(f.apply(start - q @ (q.conj().T @ start)))
-        if moved > LEAKAGE_TOL * f.scale:
+        rest = start - q @ (q.conj().T @ start)
+        moved = np.linalg.norm(f.apply(rest) / f.scale) * f.scale
+        if not moved <= LEAKAGE_TOL * f.scale:
             raise ValueError(
                 f"state part outside the invariant subspace moves: {moved:g}"
             )
         local.append(np.flatnonzero(np.any(q, axis=1) | np.any(start, axis=(0, 2))))
     grid = np.ix_(*local)
+    rows = np.ravel_multi_index(grid, dims).ravel()
+    if len(dims) == 1:
+        p, flow = block_flow(dyn.factors[0], t)
+        p = p[rows]
+        c0 = p.conj().T @ psi0[rows]
+        moved = flow * c0[:, None] if flow.ndim == 2 else (flow @ c0).T
+        if rows.size <= 1 + p.shape[1]:
+            # on no more rows than basis columns the states are the smaller form
+            return rows, None, psi0[rows, None] + p @ moved
+        basis = np.column_stack([psi0[rows], p])
+        return rows, basis, np.vstack([np.ones(t.size), moved])
     states = np.repeat(psi0.reshape(dims)[grid].reshape(-1, 1), t.size, axis=1)
     for i, f in enumerate(dyn.factors):
         p, flow = block_flow(f, t)
@@ -357,37 +375,59 @@ def _reduced_states(
         else:
             coeffs = np.einsum("tij,ljkt->likt", flow, coeffs)
         view += p @ coeffs.reshape(len(view), p.shape[1], -1)
-    return np.ravel_multi_index(grid, dims).ravel(), states
+    return rows, None, states
 
 
-def read_channels(rows, states, psi0, channels: dict, occupations=None) -> dict:
+#: entries of rows x times in one chunk of the readout's temporaries
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _chunks(count: int, steps: int) -> list:
+    """Slices of ``count`` rows, each of at most _CHUNK_ENTRIES entries over
+    ``steps`` times, or of one row when a row alone holds more."""
+    size = max(1, _CHUNK_ENTRIES // steps)
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
+def _expectation(basis, coeffs, weights) -> np.ndarray:
+    """Re coeffs^dag (basis^dag diag(weights) basis) coeffs, one per time:
+    the expectation of diag(weights) on the rows, in O(rows K^2 + K^2 T)."""
+    weighted = weights[:, None] * coeffs if basis is None else (
+        (basis.conj().T * weights) @ basis @ coeffs)
+    return np.einsum("it,it->t", coeffs.conj(), weighted).real
+
+
+def read_channels(rows, basis, coeffs, psi0, channels: dict, occupations=None) -> dict:
     """Channel series and ``p_survival`` of psi(t), for every route.
 
-    ``states[j, t]`` is the amplitude of the flat Fock index ``rows[j]``
-    (sorted) at the t-th time; psi(t) is zero off ``rows``.  ``channels``
-    maps a name to a list or array of flat Fock indices; the channel is
-    the summed population of those basis vectors.  ``n_expect`` is added
-    from the per-index occupation counts when ``occupations`` is given.
+    psi(t) is zero off the sorted flat Fock indices ``rows`` and ``basis @
+    coeffs`` on them (rows x K, None for the identity, times K x T).
+    ``channels`` maps a name to a list or array of flat Fock indices; the
+    channel is the summed population of those basis vectors, rebuilt in
+    bounded chunks of the rows hit.  ``n_expect`` is added from the
+    per-index occupation counts when ``occupations`` is given;
     ``p_survival`` is |psi0^dag psi(t)|^2 for the initial amplitudes psi0.
-    One search matches every index: O(C + sum |S| + hits T) for C channels S.
+    One search matches every index: O(C + sum |S| + rows K^2 + hits K T).
     """
-    table = np.zeros((len(channels), states.shape[1]))
+    table = np.zeros((len(channels), coeffs.shape[1]))
     if channels:
-        pops = states.real**2 + states.imag**2
         idx = np.concatenate(list(channels.values()))
         owner = np.repeat(np.arange(len(channels)), list(map(len, channels.values())))
         pos = np.minimum(np.searchsorted(rows, idx), rows.size - 1)
         owner, pos = owner[rows[pos] == idx], pos[rows[pos] == idx]
         # first hits are copied, later ones added in index order, as .sum does
         first = np.searchsorted(owner, owner) == np.arange(owner.size)
-        table[owner[first]] = pops[pos[first]]
-        np.add.at(table, owner[~first], pops[pos[~first]])
+        for part in _chunks(pos.size, coeffs.shape[1]):
+            amps = coeffs[pos[part]] if basis is None else basis[pos[part]] @ coeffs
+            pops, new, hit = amps.real**2 + amps.imag**2, first[part], owner[part]
+            table[hit[new]] = pops[new]
+            if not new.all():
+                np.add.at(table, hit[~new], pops[~new])
     out = dict(zip(channels, table))
     if occupations is not None:
-        out["n_expect"] = np.einsum(
-            "it,it->t", states.conj(), occupations[rows, None] * states
-        ).real
-    out["p_survival"] = np.abs(psi0[rows].conj() @ states) ** 2
+        out["n_expect"] = _expectation(basis, coeffs, occupations[rows])
+    overlap = psi0[rows].conj() if basis is None else psi0[rows].conj() @ basis
+    out["p_survival"] = np.abs(overlap @ coeffs) ** 2
     return out
 
 
@@ -438,8 +478,8 @@ def rk4_expectation_series(
         raise GridError(f"substeps must be >= 1, got {substeps}")
     h = float(dt[0]) / substeps
     flow = functools.partial(_rk4_flow, h=h, substeps=substeps)
-    rows, states = _reduced_states(dyn, psi0.amplitudes, t, flow)
-    drift = np.abs(np.linalg.norm(states, axis=0) - 1.0)
+    rows, basis, coeffs = _reduced_states(dyn, psi0.amplitudes, t, flow)
+    drift = np.abs(np.sqrt(_expectation(basis, coeffs, np.ones(rows.size))) - 1.0)
     # written so that a NaN drift fails too
     bad = np.flatnonzero(~(drift <= RK4_DRIFT_TOL))
     if bad.size:
@@ -448,7 +488,7 @@ def rk4_expectation_series(
             f"norm drift {drift[k]:g} at t={t[k]:g}; reduce the step "
             f"(current h={h:g})"
         )
-    return read_channels(rows, states, psi0.amplitudes, channels, occupations)
+    return read_channels(rows, basis, coeffs, psi0.amplitudes, channels, occupations)
 
 
 class TimeSeries:
@@ -523,8 +563,8 @@ def evolve_probabilities(
     the grid).  ``n_expect`` is added when the per-index ``occupations``
     are given; ``p_survival`` is left to :func:`survival_probability`.
     """
-    rows, states = _reduced_states(dyn, psi0.amplitudes, t_grid)
-    out = read_channels(rows, states, psi0.amplitudes, channels, occupations)
+    reduced = _reduced_states(dyn, psi0.amplitudes, t_grid)
+    out = read_channels(*reduced, psi0.amplitudes, channels, occupations)
     del out["p_survival"]
     names = list(channels)
     return TimeSeries(
@@ -535,6 +575,6 @@ def evolve_probabilities(
 
 def survival_probability(dyn: EffectiveDynamics, psi0: Ket, t_grid) -> TimeSeries:
     """|<psi(0)|U(t)|psi(0)>|^2 on the grid, as channel ``p_survival``."""
-    rows, states = _reduced_states(dyn, psi0.amplitudes, t_grid)
-    out = read_channels(rows, states, psi0.amplitudes, {})
+    reduced = _reduced_states(dyn, psi0.amplitudes, t_grid)
+    out = read_channels(*reduced, psi0.amplitudes, {})
     return TimeSeries(t_grid, out, probability_channels=("p_survival",))

@@ -23,6 +23,7 @@ from . import closed_forms as cf
 from .dynamics import (
     EffectiveDynamics,
     TimeSeries,
+    _chunks,
     effective_dynamics,
     evolve_probabilities,
     read_channels,
@@ -55,12 +56,13 @@ PERT_RESIDUAL_COEFF = 8.0
 MAX_STEPS = 1_000_000
 
 #: most entries (N + C) x steps per run, for N basis states and C series
-#: columns: the channel table, and the state block on the rows psi(t) can
-#: reach, all N for a full-support state.  A run peaks at 53 bytes per entry
-#: or less (tracemalloc, engine all, run and compare with CSV: N 216 to 2002
-#: with up to 1543 columns at 2001 samples, and the default registers at 1e5
-#: samples): under 2.2 GB, below a third of an 8 GB machine.  Every default
-#: scenario fits at MAX_STEPS under run.
+#: columns: the channel table, and the states on the rows psi(t) can reach
+#: for the product scenarios.  A run peaks at 49 bytes per entry or less
+#: (tracemalloc, engine all, run and compare with CSV: N 216 to 2197 with
+#: up to 6598 columns at 2001 samples, 10 to 12 bytes at 2197; the default
+#: registers at 1e5 samples, where the RK4 flow stacks set the maximum):
+#: under 2 GB, below a third of an 8 GB machine.  Every default scenario
+#: fits at MAX_STEPS under run.
 MAX_RUN_ENTRIES = 40_000_000
 
 #: keys that set up the run rather than the scenario
@@ -615,11 +617,13 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
                 raise ConfigError(
                     "cutoffs", f"cutoff {c} of mode {i} cannot hold occupation {o}"
                 )
-    top = [w * c for w, c in zip(model.omega, cutoffs)]
-    if not math.isfinite(sum(top)):
-        # the frequency key of the largest term; one key may set several modes
+    # |E| <= sum(top), and |lambda| and every gap are at most 2 |E|
+    top = [w * c for w, c in zip(model.omega, cutoffs)] + [abs(cfg.E0)]
+    if not math.isfinite(4.0 * sum(top)):
+        # the key of the largest term; one frequency key may set several modes
         keys = [k for k in spec.keys if k.startswith("omega")]
-        key = keys[min(top.index(max(top)), len(keys) - 1)]
+        k = top.index(max(top))
+        key = "E0" if k == len(top) - 1 else keys[min(k, len(keys) - 1)]
         raise ConfigError(key, f"top energy {sum(top):g} leaves the float range")
     system = ModeSystem(model.omega, cutoffs)
     psi = superposition(system, model.terms)
@@ -673,8 +677,7 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
     if t_default is None:
         t_default = 4 * math.pi / omega_osc if omega_osc > 0 else 10.0
     t_max = t_default if cfg.t_max is None else cfg.t_max
-    # |E| <= sum(top) + |E0|, and |lambda| and every gap are at most 2 |E|
-    if not math.isfinite(4.0 * (sum(top) + abs(cfg.E0)) * t_max):
+    if not math.isfinite(4.0 * sum(top) * t_max):
         raise ConfigError("t_max", f"{t_max:g} takes phases E t past the float range")
     analytic_tol = TOL_ANALYTIC
     if model.analytic_tol is not None:
@@ -708,12 +711,17 @@ def _exponential_channels(prep: _Prepared, t_grid, occupations) -> dict:
 def _standard_channels(prep: _Prepared, t_grid, occupations) -> dict:
     """Same channels under the unmodified propagator exp(-i H t).
 
-    H is diagonal in the Fock basis, so each amplitude only turns its phase.
+    H is diagonal in the Fock basis, so each amplitude only turns its phase:
+    only p_survival = |sum_j |psi0_j|^2 exp(-i E_j t)|^2 moves.
     """
     amps = prep.psi0.amplitudes
     rows = np.flatnonzero(amps)
-    states = amps[rows, None] * np.exp(-1j * np.outer(prep.dyn.energies[rows], t_grid))
-    out = read_channels(rows, states, amps, prep.channels, occupations)
+    out = read_channels(rows, None, amps[rows, None], amps, prep.channels, occupations)
+    out = {name: np.broadcast_to(v, t_grid.shape) for name, v in out.items()}
+    weights, energies = np.abs(amps[rows]) ** 2, prep.dyn.energies[rows]
+    overlap = sum(weights[k] @ np.exp(-1j * np.outer(energies[k], t_grid))
+                  for k in _chunks(rows.size, t_grid.size))
+    out["p_survival"] = np.abs(overlap) ** 2
     return {"std_" + name: values for name, values in out.items()}
 
 

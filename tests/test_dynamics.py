@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from ergodyn import (
     two_level_survival,
     vacuum_ket,
 )
+from ergodyn import dynamics
 from ergodyn.dynamics import (
     LEAKAGE_TOL,
     TimeSeries,
@@ -429,7 +431,7 @@ def test_subspace_rk4_matches_dense_rk4(cutoffs, substeps, data):
         prep.dyn, prep.psi0, prep.channels, t, occupations, substeps=substeps,
     )
     states = dense_rk4_states(prep.dyn, prep.psi0, t, substeps)
-    expected = read_channels(
+    expected = read_channels_per_channel(
         np.arange(len(states)), states, prep.psi0.amplitudes, prep.channels,
         occupations,
     )
@@ -556,7 +558,9 @@ def test_index_readout_matches_dense_projectors(cutoffs, data):
     )
     prep = _assemble(cfg)
     states = dense_states(prep.dyn.dense(), prep.psi0, np.linspace(0.0, 5.0, 7))
-    got = read_channels(np.arange(dim), states, prep.psi0.amplitudes, prep.channels)
+    got = read_channels(
+        np.arange(dim), None, states, prep.psi0.amplitudes, prep.channels
+    )
     del got["p_survival"]
 
     covered = np.zeros((dim, dim), dtype=complex)
@@ -695,7 +699,7 @@ def _assert_reduced_matches_dense(prep, u_p):
     )
     got.update(survival_probability(prep.dyn, prep.psi0, t).channels)
     states = dense_states(h_eff, prep.psi0, t)
-    expected = read_channels(
+    expected = read_channels_per_channel(
         np.arange(sys_.dimension), states, prep.psi0.amplitudes, prep.channels,
         occupations,
     )
@@ -790,7 +794,7 @@ def test_product_generator_moves_an_entangled_state_on_its_rows(n, m, cutoffs):
     got = dict(evolve_probabilities(dyn, psi0, channels, t, occupations).channels)
     got.update(survival_probability(dyn, psi0, t).channels)
     dense = dense_states(dyn.dense(), psi0, t)
-    expected = read_channels(
+    expected = read_channels_per_channel(
         np.arange(sys_.dimension), dense, psi0.amplitudes, channels, occupations
     )
     assert got.keys() == expected.keys()
@@ -803,10 +807,80 @@ def test_product_generator_moves_an_entangled_state_on_its_rows(n, m, cutoffs):
     )
     for name, values in expected.items():
         assert np.abs(rk4[name] - values).max() <= TOL_RK4, name
-    rows, _ = _reduced_states(dyn, psi0.amplitudes, t)
+    rows, basis, _ = _reduced_states(dyn, psi0.amplitudes, t)
+    assert basis is None
     corners = [flat_index(sys_, (a, b)) for a in (0, n) for b in (0, m)]
     np.testing.assert_array_equal(rows, sorted(corners))
     assert np.abs(np.delete(dense, rows, axis=0)).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["sparse", "full", "entangled"]),
+    route=st.sampled_from(["exponential", "rk4"]),
+    data=st.data(),
+)
+def test_basis_coefficient_readout_matches_the_dense_oracle(kind, route, data):
+    # every channel, n_expect and p_survival of psi(t) = B C(t), read in
+    # chunks of one row up to all rows, against exp(-i H_eff t) psi0 read by
+    # the per-channel oracle; channels cut a shuffled register, so some of
+    # them hold several indices
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def amplitudes(size):
+        phases = np.exp(2j * np.pi * rng.uniform(size=size))
+        return rng.uniform(0.1, 1.0, size) * phases
+
+    if kind == "entangled":
+        # per-mode rotations, psi0 on |0,0> and |n,m> only
+        n = data.draw(st.integers(1, 2), label="n")
+        m = data.draw(st.integers(1, 3), label="m")
+        sys_ = ModeSystem((1.0, 1.7), (n + 1, m + 1))
+        factors = []
+        for w, c, k in zip(sys_.omega, sys_.cutoff, (n, m)):
+            sub = ModeSystem((w,), (c,))
+            mode_state = superposition(sub, {(0,): 1.0, (k,): 1.0})
+            factors.append((free_energies(sub), mode_state))
+        dyn = effective_dynamics(factors)
+        a, b = amplitudes(2)
+        psi0 = superposition(sys_, {(0, 0): a, (n, m): b})
+    else:
+        cutoffs = data.draw(st.sampled_from([(5,), (9,), (2, 3), (3, 3), (2, 2, 2)]))
+        sys_ = ModeSystem((1.0, 1.3, 1.7)[: len(cutoffs)], cutoffs)
+        support = np.arange(sys_.dimension)
+        if kind == "sparse":
+            drawn = st.sets(st.integers(0, sys_.dimension - 1), min_size=1, max_size=6)
+            support = sorted(data.draw(drawn, label="support"))
+        amps = np.zeros(sys_.dimension, dtype=complex)
+        amps[support] = amplitudes(len(support))
+        psi0 = Ket(amps)
+        dyn = whole_register(sys_, psi0)
+    dim = sys_.dimension
+    order = data.draw(st.permutations(range(dim)), label="order")
+    cuts = data.draw(st.lists(st.integers(1, dim - 1), max_size=4), label="cuts")
+    bounds = zip([0, *sorted(cuts)], [*sorted(cuts), dim])
+    channels = {f"c{i}": order[lo:hi] for i, (lo, hi) in enumerate(bounds)}
+    assert max(map(len, channels.values())) >= 2
+    occupations = occupation_counts(sys_)
+    t = np.linspace(0.0, 6.0, 13)
+    chunk = data.draw(st.integers(1, dim * t.size), label="chunk entries")
+    with mock.patch.object(dynamics, "_CHUNK_ENTRIES", chunk):
+        if route == "rk4":
+            got = rk4_expectation_series(dyn, psi0, channels, t, occupations)
+        else:
+            got = dict(
+                evolve_probabilities(dyn, psi0, channels, t, occupations).channels
+            )
+            got.update(survival_probability(dyn, psi0, t).channels)
+    expected = read_channels_per_channel(
+        np.arange(dim), dense_states(dyn.dense(), psi0, t), psi0.amplitudes,
+        channels, occupations,
+    )
+    assert got.keys() == expected.keys()
+    tol = 1e-12 if route == "exponential" else TOL_RK4
+    for name, values in expected.items():
+        bound = tol * np.maximum(1.0, np.abs(values))
+        assert np.all(np.abs(got[name] - values) <= bound), name
 
 
 def test_corrupted_subspace_trips_the_leakage_gate():
@@ -856,7 +930,10 @@ def test_read_channels_matches_the_per_channel_readout(data, with_occupations):
         if kept[i]
     }
     occupations = rng.integers(0, 30, size=dim) * 1.0 if with_occupations else None
-    got = read_channels(rows, states, psi0, channels, occupations)
+    # chunks of one row up to all of them
+    chunk = data.draw(st.integers(1, rows.size * steps), label="chunk entries")
+    with mock.patch.object(dynamics, "_CHUNK_ENTRIES", chunk):
+        got = read_channels(rows, None, states, psi0, channels, occupations)
     expected = read_channels_per_channel(rows, states, psi0, channels, occupations)
     assert list(got) == list(expected)
     for name, values in expected.items():

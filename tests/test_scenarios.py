@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergodyn
-from ergodyn import dynamics
+from ergodyn import cli, dynamics
 from ergodyn.cli import main
 from ergodyn.dynamics import TimeSeries
 from ergodyn.emit import (
@@ -534,6 +534,10 @@ def test_cli_validation_error_exit_code(capsys):
         # past the float range: n omega, and the phases lambda t_max
         (["--omega", "1e308", "--n", "3"], "omega"),
         (["--t_max", "1e308", "--steps", "3"], "t_max"),
+        # E0 is the largest term of the energy bound, with the default t_max
+        (["--scenario", "single-eigenstate", "--E0", "1e308"], "E0"),
+        (["--scenario", "single-eigenstate", "--E0=-1e308"], "E0"),
+        (["--E0", "1e308"], "E0"),
     ):
         assert main(["run", "--engine", "exponential", *args]) == 2
         err = capsys.readouterr().err
@@ -739,6 +743,54 @@ def test_exponential_compare_builds_no_state_block_over_the_register():
         tracemalloc.stop()
     assert summary["dimension"] == 200002 and len(series.times) == 101
     assert peak < 128e6
+
+
+def test_cli_runs_a_ground_level_whose_square_overflows(capsys):
+    # E0 = +-1e300 passes the energy bound; the generator gates take their
+    # norms in units of the energy scale, so residuals of order eps * 1e300
+    # do not overflow when squared
+    for e0 in ("1e300", "-1e300"):
+        assert main(["run", "--engine", "exponential", f"--E0={e0}"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_full_support_run_peaks_under_three_times_its_series():
+    # psi(t) is read from its 1331 x 4 basis and 4 x 501 coefficients in
+    # bounded chunks: no 1331 x 501 complex block (10.7 MB) is formed
+    rng = np.random.default_rng(15)
+    amps = rng.normal(size=1331) + 1j * rng.normal(size=1331)
+    cfg = load_config(None, {
+        "scenario": "custom-state", "cutoffs": "10,10,10", "omega": "1.0,1.3,1.7",
+        "amplitudes": ",".join(map(repr, amps.tolist())), "engine": "exponential",
+    })
+    run_scenario(cfg)  # lazy imports and caches outside the traced run
+    tracemalloc.start()
+    try:
+        series, _ = run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = series.times.nbytes + sum(v.nbytes for v in series.channels.values())
+    assert len(series.channels) == 1333 and series.times.size == 501
+    assert peak < 3 * returned
+
+
+def test_cli_builds_its_parser_once(capsys):
+    # parsing leaves the shared parser as it was: a sweep error, then two
+    # identical runs, print what fresh parsers print
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit):
+        main(["sweep", "--parameter", "theta"])
+    first = capsys.readouterr()
+    outputs = []
+    for _ in range(2):
+        assert main(["run", "--engine", "exponential", "--steps", "5"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit):
+        main(["sweep", "--parameter", "theta"])
+    assert capsys.readouterr() == first
 
 
 def test_state_size_bound_rejects_before_allocating(capsys):
