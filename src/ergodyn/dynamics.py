@@ -54,6 +54,10 @@ LEAKAGE_TOL = 1e-12
 #: detuning is 6e-15 at L = 100 m)
 RANK_TOL = 1e-15
 
+#: floor of a factor's energy scale: below it, eps times the scale is
+#: subnormal, and tolerances relative to it would be finer than rounding
+SMALLEST_SCALE = np.finfo(float).tiny / np.finfo(float).eps
+
 #: default number of integrator steps per oscillation period
 RK4_STEPS_PER_PERIOD = 2000
 
@@ -111,7 +115,9 @@ class _Factor:
             raise ValueError(f"dimension mismatch: H {dim}, state {state.dimension}")
         dec = decompose_against_ground(state)
         self.cos, self.sin = c, s = np.cos(dec.theta), np.sin(dec.theta)
-        self.scale = max(np.abs(self.energies).max(), 1.0)
+        # tolerances relative to the energies: hbar = 1, so scaling them by s
+        # and time by 1/s changes no channel
+        self.scale = max(np.abs(self.energies).max(), SMALLEST_SCALE)
         g = np.eye(dim, 1, dtype=complex)[:, 0]
         if dec.excited is None:
             # U = 1: the generator vanishes and the state is frozen
@@ -140,8 +146,12 @@ class _Factor:
             rest = he
             for _ in range(2):
                 rest = rest - e * (e.conj() @ rest)
+            # in the power-of-two unit at or below the scale, which divides
+            # exactly, so that no square inside the norm underflows
+            unit = np.ldexp(1.0, np.frexp(self.scale)[1] - 1)
+            rest = rest / unit
             norm = np.linalg.norm(rest)
-            if norm > RANK_TOL * self.scale:
+            if norm * unit > RANK_TOL * self.scale:
                 columns.append(rest / norm)
             self.basis = np.stack(columns, axis=1)
         self.block = _projected_block(self.apply, self.basis, self.scale)
@@ -378,15 +388,36 @@ def _reduced_states(
     return rows, None, states
 
 
-#: entries of rows x times in one chunk of the readout's temporaries
+#: entries of rows x times in one chunk of the standard route's overlap sum
 _CHUNK_ENTRIES = 1 << 16
+
+#: entries of rows x times in one tile of the readout's temporaries
+_TILE_ENTRIES = 1 << 14
 
 
 def _chunks(count: int, steps: int) -> list:
     """Slices of ``count`` rows, each of at most _CHUNK_ENTRIES entries over
-    ``steps`` times, or of one row when a row alone holds more."""
+    ``steps`` times, or of one row when a row alone holds more: the groups
+    of the standard route's overlap sum, and the rows that the readout's
+    products keep together (:func:`_tiles`)."""
     size = max(1, _CHUNK_ENTRIES // steps)
     return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
+def _tiles(count: int, steps: int) -> list:
+    """Slices of ``count`` rows that cut each of :func:`_chunks` into tiles
+    of at most _TILE_ENTRIES entries over ``steps`` times, but of two rows
+    or more where the chunk has more than one.  A product over several rows
+    rounds each of them as a product over the whole chunk does, but one over
+    a single row, or over part of the times, rounds differently."""
+    size = max(2, _TILE_ENTRIES // steps - 1)
+    tiles = []
+    for chunk in _chunks(count, steps):
+        stop = min(chunk.stop, count)
+        # a last tile of one row joins the tile before it
+        bounds = [*range(chunk.start, max(stop - 1, chunk.start + 1), size), stop]
+        tiles += map(slice, bounds, bounds[1:])
+    return tiles
 
 
 def _expectation(basis, coeffs, weights) -> np.ndarray:
@@ -404,8 +435,9 @@ def read_channels(rows, basis, coeffs, psi0, channels: dict, occupations=None) -
     coeffs`` on them (rows x K, None for the identity, times K x T).
     ``channels`` maps a name to a list or array of flat Fock indices; the
     channel is the summed population of those basis vectors, rebuilt in
-    bounded chunks of the rows hit.  ``n_expect`` is added from the
-    per-index occupation counts when ``occupations`` is given;
+    tiles of the rows hit (:func:`_tiles`), so that the table is the one
+    C x T array and a tile the largest temporary.  ``n_expect`` is added
+    from the per-index occupation counts when ``occupations`` is given;
     ``p_survival`` is |psi0^dag psi(t)|^2 for the initial amplitudes psi0.
     One search matches every index: O(C + sum |S| + rows K^2 + hits K T).
     """
@@ -417,9 +449,13 @@ def read_channels(rows, basis, coeffs, psi0, channels: dict, occupations=None) -
         owner, pos = owner[rows[pos] == idx], pos[rows[pos] == idx]
         # first hits are copied, later ones added in index order, as .sum does
         first = np.searchsorted(owner, owner) == np.arange(owner.size)
-        for part in _chunks(pos.size, coeffs.shape[1]):
+        for part in _tiles(pos.size, coeffs.shape[1]):
             amps = coeffs[pos[part]] if basis is None else basis[pos[part]] @ coeffs
-            pops, new, hit = amps.real**2 + amps.imag**2, first[part], owner[part]
+            # squared in place, and each tile freed before the next is made
+            pops = amps.real**2
+            pops += amps.imag**2
+            del amps
+            new, hit = first[part], owner[part]
             table[hit[new]] = pops[new]
             if not new.all():
                 np.add.at(table, hit[~new], pops[~new])
@@ -491,14 +527,39 @@ def rk4_expectation_series(
     return read_channels(rows, basis, coeffs, psi0.amplitudes, channels, occupations)
 
 
+def _owner(arrays: list):
+    """The array that all of ``arrays`` view, such as a route's table for its
+    rows, when it owns no more entries than they hold: a check of its
+    entries is then a check of theirs, in one pass with no copy.  Else None.
+    """
+    owner = arrays[0].base if arrays else None
+    if (
+        owner is not None
+        and owner.flags.owndata
+        and owner.size <= len(arrays) * arrays[0].size
+        and all([a.base is owner and a.flags.aligned for a in arrays])
+    ):
+        return owner
+    return None
+
+
+def _inside_unit_interval(values: np.ndarray) -> bool:
+    """Whether every entry lies in [0, 1] within 1e-9 (False on a NaN)."""
+    return bool(values.min() >= -1e-9 and values.max() <= 1.0 + 1e-9)
+
+
 class TimeSeries:
     """Uniform time grid with named real channels.
 
     ``probability_channels`` are bounded to [0, 1] within 1e-9;
     ``partitions`` lists channel groups that must sum to one at every time.
-    Violations raise ValueError at construction.  The routes return plain
-    dicts; a run builds one series, from its primary route, so every check
-    runs once per run.
+    Violations raise ValueError at construction, naming the first failing
+    channel in partition order, then in column order.  The routes return
+    plain dicts; a run builds one series, from its primary route, so every
+    check runs once per run.  The channels are kept and checked where they
+    are: rows of one table are checked in one pass over it (:func:`_owner`),
+    and a partition is summed channel by channel into one array, so no copy
+    of the series is made.
     """
 
     def __init__(self, times, channels, probability_channels=(), partitions=()):
@@ -508,39 +569,53 @@ class TimeSeries:
         steps = np.diff(self.times)
         if np.abs(steps - steps[0]).max() > 1e-9 * max(abs(steps[0]), 1e-300):
             raise ValueError("time grid must be uniform")
-        self.channels = {}
-        for name, values in channels.items():
-            arr = np.asarray(values, dtype=float)
-            if arr.shape != self.times.shape:
-                raise ValueError(
-                    f"channel {name!r} has {arr.shape}, grid has {self.times.shape}"
-                )
-            self.channels[name] = arr
+        self.channels = {
+            name: np.asarray(values, dtype=float) for name, values in channels.items()
+        }
+        shape = self.times.shape
+        for name, arr in self.channels.items():
+            if arr.shape != shape:
+                raise ValueError(f"channel {name!r} has {arr.shape}, grid has {shape}")
         self.probability_channels = frozenset(probability_channels)
         self.partitions = tuple(tuple(p) for p in partitions)
         self._validate()
 
     def _validate(self):
-        # one block of rows: each partition's channels in group order, then
-        # the other probability channels; every check fails on a NaN
-        names = [name for group in self.partitions for name in group]
-        names += self.probability_channels.difference(names)
-        block = np.array([self.channels[n] for n in names]).reshape(-1, self.times.size)
-        # the rows are searched only when the whole block leaves [0, 1]
-        if not (block.min(initial=0.0) >= -1e-9 and block.max(initial=1.0) <= 1 + 1e-9):
-            inside = (block.min(axis=1) >= -1e-9) & (block.max(axis=1) <= 1.0 + 1e-9)
-            for k in np.flatnonzero(~inside):
-                if names[k] in self.probability_channels:
-                    raise ValueError(
-                        f"probability channel {names[k]!r} leaves [0,1]: "
-                        f"range [{block[k].min():g}, {block[k].max():g}]"
-                    )
-        start = 0
+        # each partition's probability channels in group order, then the
+        # other probability channels in column order; every check fails on
+        # a NaN, and the range checks come first
+        probability = self.probability_channels
+        rest = probability.difference(*self.partitions)
+        if not rest <= self.channels.keys():
+            raise KeyError(min(rest - self.channels.keys()))
+        if len(rest) > 1:
+            rest = [n for n in self.channels if n in rest]
+        deviations = []
         for group in self.partitions:
-            # rows added one after another, as sum() over the group adds them
-            total = np.add.reduce(block[start:start + len(group)], axis=0)
-            start += len(group)
-            dev = np.abs(total - 1.0).max()
+            # channels added one after another, as sum() over the group does
+            total = np.zeros(self.times.size)
+            for name in group:
+                total += self.channels[name]
+            deviations.append(np.abs(total - 1.0).max())
+        for names, dev in zip((*self.partitions, rest), (*deviations, None)):
+            if not probability.issuperset(names):
+                names, dev = [n for n in names if n in probability], None
+            arrays = [self.channels[n] for n in names]
+            owner = _owner(arrays)
+            if owner is not None and (
+                # with no entry below 0, each channel is at most the sum of
+                # its group, which is at most 1 + 1e-9
+                dev is not None and dev <= 1e-9 and owner.min() >= 0.0
+                or _inside_unit_interval(owner)
+            ):
+                continue
+            for name, values in zip(names, arrays):
+                if not _inside_unit_interval(values):
+                    raise ValueError(
+                        f"probability channel {name!r} leaves [0,1]: "
+                        f"range [{values.min():g}, {values.max():g}]"
+                    )
+        for group, dev in zip(self.partitions, deviations):
             if not dev <= 1e-9:
                 raise ValueError(
                     f"partition {group} sums to 1 +/- {dev:g} (> 1e-9)"

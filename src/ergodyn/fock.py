@@ -76,9 +76,17 @@ class Ket:
 
     def __init__(self, amplitudes):
         vec = np.asarray(amplitudes, dtype=complex).ravel()
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(vec)
+        if not 0.0 < norm < np.inf:
+            # the squares left the float range: rescale by the largest part
+            # first, so a state at any finite scale keeps its direction
+            parts = vec.view(float)
+            top = np.abs(parts).max(initial=0.0)
+            if top == 0.0:
+                raise ValueError("cannot normalize the zero vector")
+            vec = (parts / top).view(complex)
+            norm = np.linalg.norm(vec)
         self.amplitudes = vec / norm
 
     @property

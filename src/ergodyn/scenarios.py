@@ -59,7 +59,7 @@ MAX_STEPS = 1_000_000
 #: columns: the channel table, and the states on the rows psi(t) can reach
 #: for the product scenarios.  A run peaks at 49 bytes per entry or less
 #: (tracemalloc, engine all, run and compare with CSV: N 216 to 2197 with
-#: up to 6598 columns at 2001 samples, 10 to 12 bytes at 2197; the default
+#: up to 6598 columns at 2001 samples, 6.2 to 8.3 bytes at 2197; the default
 #: registers at 1e5 samples, where the RK4 flow stacks set the maximum):
 #: under 2 GB, below a third of an 8 GB machine.  Every default scenario
 #: fits at MAX_STEPS under run.
@@ -99,12 +99,11 @@ class ScenarioConfig:
     amplitudes: tuple[complex, ...] | None = None
 
     def validated(self) -> "ScenarioConfig":
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for key in _NUMBER_KEYS:
+            value = getattr(self, key)
             items = value if isinstance(value, tuple) else (value,)
-            numbers = [v for v in items if isinstance(v, (float, complex))]
-            if not all(map(cmath.isfinite, numbers)):
-                raise ConfigError(f.name, f"must be finite, got {value}")
+            if value is not None and not all(map(cmath.isfinite, items)):
+                raise ConfigError(key, f"must be finite, got {value}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(
                 "scenario",
@@ -143,6 +142,10 @@ def _schema() -> dict:
 
 _SCHEMA = _schema()
 
+#: keys of float or complex values, or lists of them, which must be finite
+_NUMBER_KEYS = [key for key, (kind, _) in _SCHEMA.items()
+                if kind in (float, complex)]
+
 
 def _parse_scalar(kind, text: str):
     if kind is bool:
@@ -167,12 +170,13 @@ def _coerce(key: str, value):
     try:
         if isinstance(value, str):
             if is_list:
-                items = [s.strip() for s in value.split(",") if s.strip()]
-                return tuple(_parse_scalar(kind, s) for s in items)
+                # no Python frame per item: the lists hold numbers, not booleans
+                items = filter(None, map(str.strip, value.split(",")))
+                return tuple(map(kind, items))
             return _parse_scalar(kind, value.strip())
         if value is None:
             return None
-        return tuple(kind(v) for v in value) if is_list else kind(value)
+        return tuple(map(kind, value)) if is_list else kind(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(key, f"cannot parse {value!r}: {exc}") from exc
 
@@ -623,12 +627,13 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
                     "cutoffs", f"cutoff {c} of mode {i} cannot hold occupation {o}"
                 )
     # |E| <= sum(top), and |lambda| and every gap are at most 2 |E|
-    top = [w * c for w, c in zip(model.omega, cutoffs)] + [abs(cfg.E0)]
+    top = [w * c for w, c in zip(model.omega, cutoffs)]
+    # the key of the largest frequency term; one key may set several modes
+    keys = [k for k in spec.keys if k.startswith("omega")]
+    omega_key = keys[min(top.index(max(top)), len(keys) - 1)]
+    top.append(abs(cfg.E0))
     if not math.isfinite(4.0 * sum(top)):
-        # the key of the largest term; one frequency key may set several modes
-        keys = [k for k in spec.keys if k.startswith("omega")]
-        k = top.index(max(top))
-        key = "E0" if k == len(top) - 1 else keys[min(k, len(keys) - 1)]
+        key = "E0" if top.index(max(top)) == len(top) - 1 else omega_key
         raise ConfigError(key, f"top energy {sum(top):g} leaves the float range")
     system = ModeSystem(model.omega, cutoffs)
     psi = superposition(system, model.terms)
@@ -683,7 +688,9 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
         t_default = 4 * math.pi / omega_osc if omega_osc > 0 else 10.0
     t_max = t_default if cfg.t_max is None else cfg.t_max
     if not math.isfinite(4.0 * sum(top) * t_max):
-        raise ConfigError("t_max", f"{t_max:g} takes phases E t past the float range")
+        # the default horizon is set by the frequencies
+        key = "t_max" if cfg.t_max is not None else omega_key
+        raise ConfigError(key, f"{t_max:g} takes phases E t past the float range")
     analytic_tol = TOL_ANALYTIC
     if model.analytic_tol is not None:
         analytic_tol = model.analytic_tol(t_max)
@@ -870,14 +877,13 @@ def _peak_residual(a: dict, b: dict) -> tuple[float, str, int]:
 
 
 def _config_echo(cfg: ScenarioConfig) -> dict:
+    """The config as JSON values: lists as lists, complex numbers as text."""
     echo = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
+    for key, (kind, _) in _SCHEMA.items():
+        value = getattr(cfg, key)
         if isinstance(value, tuple):
-            value = [
-                str(v) if isinstance(v, complex) else v for v in value
-            ]
-        echo[f.name] = value
+            value = list(map(str, value) if kind is complex else value)
+        echo[key] = value
     return echo
 
 

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -837,7 +841,7 @@ def test_product_generator_moves_an_entangled_state_on_its_rows(n, m, cutoffs):
 )
 def test_basis_coefficient_readout_matches_the_dense_oracle(kind, route, data):
     # every channel, n_expect and p_survival of psi(t) = B C(t), read in
-    # chunks of one row up to all rows, against exp(-i H_eff t) psi0 read by
+    # tiles of one row up to all rows, against exp(-i H_eff t) psi0 read by
     # the per-channel oracle; channels cut a shuffled register, so some of
     # them hold several indices
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -879,7 +883,8 @@ def test_basis_coefficient_readout_matches_the_dense_oracle(kind, route, data):
     occupations = occupation_counts(sys_)
     t = np.linspace(0.0, 6.0, 13)
     chunk = data.draw(st.integers(1, dim * t.size), label="chunk entries")
-    with mock.patch.object(dynamics, "_CHUNK_ENTRIES", chunk):
+    tile = data.draw(st.integers(1, dim * t.size), label="tile entries")
+    with mock.patch.multiple(dynamics, _CHUNK_ENTRIES=chunk, _TILE_ENTRIES=tile):
         if route == "rk4":
             got = rk4_expectation_series(dyn, psi0, channels, t, occupations)
         else:
@@ -942,9 +947,11 @@ def test_read_channels_matches_the_per_channel_readout(data, with_occupations):
         if kept[i]
     }
     occupations = rng.integers(0, 30, size=dim) * 1.0 if with_occupations else None
-    # chunks of one row up to all of them
+    # tiles of one row up to all of them: a tile of _TILE_ENTRIES, or of two
+    # rows where a chunk of _CHUNK_ENTRIES holds more
     chunk = data.draw(st.integers(1, rows.size * steps), label="chunk entries")
-    with mock.patch.object(dynamics, "_CHUNK_ENTRIES", chunk):
+    tile = data.draw(st.integers(1, rows.size * steps), label="tile entries")
+    with mock.patch.multiple(dynamics, _CHUNK_ENTRIES=chunk, _TILE_ENTRIES=tile):
         got = read_channels(rows, None, states, psi0, channels, occupations)
     expected = read_channels_per_channel(rows, states, psi0, channels, occupations)
     assert list(got) == list(expected)
@@ -1011,14 +1018,19 @@ def test_dyson_rejects_odd_interval_count():
 
 def test_timeseries_partition_validation():
     t = np.linspace(0.0, 1.0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=re.escape("partition ('a', 'b') sums to 1 +/- 0.1 (> 1e-9)")
+    ):
         TimeSeries(
             t,
             {"a": [0.5, 0.5, 0.5], "b": [0.4, 0.5, 0.5]},
             probability_channels=("a", "b"),
             partitions=(("a", "b"),),
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError,
+        match=re.escape("probability channel 'a' leaves [0,1]: range [0.5, 1.5]"),
+    ):
         TimeSeries(t, {"a": [1.5, 0.5, 0.5]}, probability_channels=("a",))
     ok = TimeSeries(
         t,
@@ -1031,7 +1043,96 @@ def test_timeseries_partition_validation():
 
 def test_timeseries_rejects_nan():
     t = np.linspace(0.0, 1.0, 3)
-    with pytest.raises(ValueError, match="leaves"):
+    with pytest.raises(
+        ValueError, match=re.escape("probability channel 'a' leaves [0,1]: range [")
+    ):
         TimeSeries(t, {"a": [0.5, np.nan, 0.5]}, probability_channels=("a",))
-    with pytest.raises(ValueError, match="sums to"):
+    with pytest.raises(
+        ValueError, match=re.escape("partition ('a',) sums to 1 +/- nan (> 1e-9)")
+    ):
         TimeSeries(t, {"a": [1.0, np.nan, 1.0]}, partitions=(("a",),))
+
+
+def test_timeseries_checks_a_table_of_channels_without_copying_it():
+    # 1333 channels over 501 times, rows of one table as a route returns
+    # them: the checks read the table where it is (a copy would be 5.3 MB)
+    rng = np.random.default_rng(18)
+    table = rng.uniform(size=(1333, 501))
+    table /= table.sum(axis=0)
+    channels = dict(zip((f"p_{k}" for k in range(1333)), table))
+    channels["p_survival"] = rng.uniform(size=501)
+    t = np.linspace(0.0, 1.0, 501)
+    partitions = [tuple(channels)[:-1]]
+    TimeSeries(t, channels, probability_channels=set(channels), partitions=partitions)
+    tracemalloc.start()
+    try:
+        series = TimeSeries(
+            t, channels, probability_channels=set(channels), partitions=partitions
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(series.channels[n] is v for n, v in channels.items())
+    assert peak < 0.05 * table.nbytes
+
+
+def test_timeseries_finds_the_failing_row_of_a_table():
+    # a table that leaves [0, 1] is searched row by row; a partition whose
+    # sum holds but which has a negative entry is searched too
+    t = np.linspace(0.0, 1.0, 3)
+    table = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.0, 0.0, 0.0]])
+    names = ("a", "b", "c")
+    TimeSeries(t, dict(zip(names, table)), probability_channels=names,
+               partitions=(names,))
+    table[1, 2], table[2, 2] = 1.5, -1.0
+    with pytest.raises(
+        ValueError,
+        match=re.escape("probability channel 'b' leaves [0,1]: range [0.5, 1.5]"),
+    ):
+        TimeSeries(t, dict(zip(names, table)), probability_channels=names,
+                   partitions=(names,))
+    table[1, 2], table[2, 2] = 0.5 + 1e-10, -1e-10
+    series = TimeSeries(t, dict(zip(names, table)), probability_channels=names,
+                        partitions=(names,))
+    assert series.channels["c"][2] == -1e-10
+    table[2, 2] = -2e-9
+    with pytest.raises(ValueError, match=re.escape("channel 'c' leaves [0,1]")):
+        TimeSeries(t, dict(zip(names, table)), probability_channels=names,
+                   partitions=(names,))
+
+
+def test_timeseries_range_check_comes_before_the_partition_check():
+    # a partition channel that leaves [0, 1] is named, though its group
+    # fails too; a partition channel that is no probability channel is not
+    t = np.linspace(0.0, 1.0, 3)
+    channels = {"a": [1.5, 1.5, 1.5], "b": [0.5, 0.5, 0.5]}
+    with pytest.raises(ValueError, match=re.escape("channel 'a' leaves [0,1]")):
+        TimeSeries(t, channels, probability_channels=("a",), partitions=(("a", "b"),))
+    with pytest.raises(
+        ValueError, match=re.escape("partition ('a', 'b') sums to 1 +/- 1 ")
+    ):
+        TimeSeries(t, channels, probability_channels=("b",), partitions=(("a", "b"),))
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "6"])
+def test_timeseries_names_the_first_failing_channel_in_column_order(hash_seed):
+    # two probability channels outside every partition fail: the series
+    # names the first column, whatever order a set iterates in
+    script = (
+        "import numpy as np\n"
+        "from ergodyn.dynamics import TimeSeries\n"
+        "t = np.linspace(0.0, 1.0, 3)\n"
+        "channels = {'std_p_survival': [-0.5, 0.0, 0.5],\n"
+        "            'p_survival': [0.5, 1.0, 1.5]}\n"
+        "try:\n"
+        "    TimeSeries(t, channels, probability_channels=set(channels))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == (
+        "probability channel 'std_p_survival' leaves [0,1]: range [-0.5, 0.5]\n"
+    )

@@ -114,6 +114,18 @@ def test_ket_normalization_and_zero_rejection():
         Ket([0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "scaled, unit",
+    [([1e300, 0.0], [1.0, 0.0]), ([1e154, 1e154], [1.0, 1.0]),
+     ([1e-200, 1e-200], [1.0, 1.0]), ([1e-162, 1e-162], [1.0, 1.0]),
+     ([5e-324j, 0.0], [1j, 0.0]), ([1.7e308 + 1.7e308j, 0.0], [1 + 1j, 0.0])],
+)
+def test_ket_normalizes_at_any_finite_scale(scaled, unit):
+    # the squares inside the norm over- or underflow here; the state is
+    # rescaled by its largest part first, which keeps its direction exactly
+    assert np.array_equal(Ket(scaled).amplitudes, Ket(unit).amplitudes)
+
+
 
 def test_superposition_places_terms_as_flat_index_does():
     sys_ = ModeSystem((1.0, 1.3, 1.7), (3, 2, 4))
