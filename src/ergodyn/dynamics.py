@@ -388,43 +388,36 @@ def _reduced_states(
     return rows, None, states
 
 
-#: entries of rows x times in one chunk of the standard route's overlap sum
-_CHUNK_ENTRIES = 1 << 16
-
 #: entries of rows x times in one tile of the readout's temporaries
 _TILE_ENTRIES = 1 << 14
 
 
-def _chunks(count: int, steps: int) -> list:
-    """Slices of ``count`` rows, each of at most _CHUNK_ENTRIES entries over
-    ``steps`` times, or of one row when a row alone holds more: the groups
-    of the standard route's overlap sum, and the rows that the readout's
-    products keep together (:func:`_tiles`)."""
-    size = max(1, _CHUNK_ENTRIES // steps)
-    return [slice(lo, lo + size) for lo in range(0, count, size)]
-
-
 def _tiles(count: int, steps: int) -> list:
-    """Slices of ``count`` rows that cut each of :func:`_chunks` into tiles
-    of at most _TILE_ENTRIES entries over ``steps`` times, but of two rows
-    or more where the chunk has more than one.  A product over several rows
-    rounds each of them as a product over the whole chunk does, but one over
-    a single row, or over part of the times, rounds differently."""
+    """Slices of ``count`` rows, each over all ``steps`` times: tiles of at
+    most _TILE_ENTRIES entries, but of two rows or more when ``count`` is.
+    A BLAS product over several rows and every time rounds each entry the
+    same way in any tile; one over a single row (a gemv, which OpenBLAS
+    splits across threads) or over part of the times rounds differently."""
     size = max(2, _TILE_ENTRIES // steps - 1)
-    tiles = []
-    for chunk in _chunks(count, steps):
-        stop = min(chunk.stop, count)
-        # a last tile of one row joins the tile before it
-        bounds = [*range(chunk.start, max(stop - 1, chunk.start + 1), size), stop]
-        tiles += map(slice, bounds, bounds[1:])
-    return tiles
+    # a last tile of one row joins the tile before it
+    starts = list(range(0, count - (count > 1), size))
+    return list(map(slice, starts, [*starts[1:], count]))
+
+
+def _row_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^dag b, summed over axis 0 (the rows) of a and b, by numpy's own
+    loop: no BLAS, so the sum rounds the same at any thread count."""
+    return np.einsum(
+        a.conj(), [0, *range(1, a.ndim)], b, [0, *range(a.ndim, a.ndim + b.ndim - 1)]
+    )
 
 
 def _expectation(basis, coeffs, weights) -> np.ndarray:
     """Re coeffs^dag (basis^dag diag(weights) basis) coeffs, one per time:
     the expectation of diag(weights) on the rows, in O(rows K^2 + K^2 T)."""
     weighted = weights[:, None] * coeffs if basis is None else (
-        (basis.conj().T * weights) @ basis @ coeffs)
+        # the K x K matrix is Hermitian, so its ^dag is itself
+        _row_sum(_row_sum(basis, weights[:, None] * basis), coeffs))
     return np.einsum("it,it->t", coeffs.conj(), weighted).real
 
 
@@ -434,12 +427,13 @@ def read_channels(rows, basis, coeffs, psi0, channels: dict, occupations=None) -
     psi(t) is zero off the sorted flat Fock indices ``rows`` and ``basis @
     coeffs`` on them (rows x K, None for the identity, times K x T).
     ``channels`` maps a name to a list or array of flat Fock indices; the
-    channel is the summed population of those basis vectors, rebuilt in
-    tiles of the rows hit (:func:`_tiles`), so that the table is the one
-    C x T array and a tile the largest temporary.  ``n_expect`` is added
-    from the per-index occupation counts when ``occupations`` is given;
-    ``p_survival`` is |psi0^dag psi(t)|^2 for the initial amplitudes psi0.
-    One search matches every index: O(C + sum |S| + rows K^2 + hits K T).
+    channel is the summed population of those basis vectors, rebuilt by a
+    BLAS product per tile of the rows hit (:func:`_tiles`), so that the
+    table is the one C x T array and a tile the largest temporary.
+    ``n_expect`` (from the per-index ``occupations``, when given) and
+    ``p_survival`` = |psi0^dag psi(t)|^2 are summed over rows and K by
+    :func:`_row_sum`, the same at any BLAS thread count.  One search
+    matches every index: O(C + sum |S| + rows K^2 + hits K T).
     """
     table = np.zeros((len(channels), coeffs.shape[1]))
     if channels:
@@ -462,8 +456,8 @@ def read_channels(rows, basis, coeffs, psi0, channels: dict, occupations=None) -
     out = dict(zip(channels, table))
     if occupations is not None:
         out["n_expect"] = _expectation(basis, coeffs, occupations[rows])
-    overlap = psi0[rows].conj() if basis is None else psi0[rows].conj() @ basis
-    out["p_survival"] = np.abs(overlap @ coeffs) ** 2
+    overlap = psi0[rows] if basis is None else _row_sum(basis, psi0[rows])
+    out["p_survival"] = np.abs(_row_sum(overlap, coeffs)) ** 2
     return out
 
 

@@ -23,7 +23,8 @@ from . import closed_forms as cf
 from .dynamics import (
     EffectiveDynamics,
     TimeSeries,
-    _chunks,
+    _row_sum,
+    _tiles,
     effective_dynamics,
     evolve_probabilities,
     read_channels,
@@ -242,9 +243,9 @@ class _Model:
     readout: typing.Callable | None = None
 
 
-def _label(occ) -> str:
-    """Channel name of an occupation tuple: p_<n0>_<n1>..."""
-    return "p_" + "_".join(map(str, occ))
+def _labels(occupations, modes: int) -> list:
+    """Channel names p_<n0>_<n1>... of occupation tuples, by one format."""
+    return list(map(("p" + "_%d" * modes).__mod__, occupations))
 
 
 def _single_mode(v: dict) -> _Model:
@@ -407,7 +408,7 @@ def _gravitational(v: dict) -> _Model:
         lambda params, t: cf.gravitational_probabilities(scenario, t),
         {"asymmetry_closed_form": scenario.asymmetry},
     )
-    first, second = (_label(occ) for occ in model.channels[1:])
+    first, second = _labels(model.channels[1:], 2)
 
     def asymmetry(channels):
         return {
@@ -626,6 +627,10 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
                 raise ConfigError(
                     "cutoffs", f"cutoff {c} of mode {i} cannot hold occupation {o}"
                 )
+    if cfg.E0 > min(model.omega):
+        # the vacuum must be the lowest level: U_p rotates psi onto it
+        raise ConfigError("E0", f"ground level {cfg.E0:g} lies above the lowest "
+                          f"excitation {min(model.omega):g}")
     # |E| <= sum(top), and |lambda| and every gap are at most 2 |E|
     top = [w * c for w, c in zip(model.omega, cutoffs)]
     # the key of the largest frequency term; one key may set several modes
@@ -654,11 +659,11 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
         held = np.abs(psi.amplitudes) > 1e-12
         held[0] = True
         indices, rest = np.flatnonzero(held)[:, None], np.flatnonzero(~held)
-        shape = [c + 1 for c in cutoffs]
-        occupations = np.hstack(np.unravel_index(indices, shape)).tolist()
+        axes = np.unravel_index(indices, [c + 1 for c in cutoffs])
+        occupations = list(map(tuple, np.hstack(axes).tolist()))
     else:
         indices = [[flat_index(system, occ)] for occ in occupations]
-    labels = [_label(occ) for occ in occupations]
+    labels = _labels(occupations, len(cutoffs))
     channels = dict(zip(labels, indices))
     if len(rest):
         channels["p_other"] = rest
@@ -726,15 +731,16 @@ def _standard_channels(prep: _Prepared, t_grid, occupations) -> dict:
     """Same channels under the unmodified propagator exp(-i H t).
 
     H is diagonal in the Fock basis, so each amplitude only turns its phase:
-    only p_survival = |sum_j |psi0_j|^2 exp(-i E_j t)|^2 moves.
+    only p_survival = |sum_j |psi0_j|^2 exp(-i E_j t)|^2 moves, summed by
+    tiles of the rows with no BLAS.
     """
     amps = prep.psi0.amplitudes
     rows = np.flatnonzero(amps)
     out = read_channels(rows, None, amps[rows, None], amps, prep.channels, occupations)
     out = {name: np.broadcast_to(v, t_grid.shape) for name, v in out.items()}
     weights, energies = np.abs(amps[rows]) ** 2, prep.dyn.energies[rows]
-    overlap = sum(weights[k] @ np.exp(-1j * np.outer(energies[k], t_grid))
-                  for k in _chunks(rows.size, t_grid.size))
+    overlap = sum(_row_sum(weights[k], np.exp(-1j * np.outer(energies[k], t_grid)))
+                  for k in _tiles(rows.size, t_grid.size))
     out["p_survival"] = np.abs(overlap) ** 2
     return {"std_" + name: values for name, values in out.items()}
 

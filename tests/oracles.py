@@ -195,5 +195,7 @@ def read_channels_per_channel(rows, states, psi0, channels, occupations=None):
         out["n_expect"] = np.einsum(
             "it,it->t", states.conj(), occupations[rows, None] * states
         ).real
-    out["p_survival"] = np.abs(psi0[rows].conj() @ states) ** 2
+    # numpy's loop, as the readout sums rows, so the bits match at any BLAS
+    # thread count
+    out["p_survival"] = np.abs(np.einsum("i,it->t", psi0[rows].conj(), states)) ** 2
     return out

@@ -43,6 +43,7 @@ from ergodyn.dynamics import (
     TimeSeries,
     _projected_block,
     _reduced_states,
+    _tiles,
     read_channels,
 )
 from ergodyn.scenarios import TOL_RK4, _assemble, load_config, run_scenario
@@ -882,9 +883,8 @@ def test_basis_coefficient_readout_matches_the_dense_oracle(kind, route, data):
     assert max(map(len, channels.values())) >= 2
     occupations = occupation_counts(sys_)
     t = np.linspace(0.0, 6.0, 13)
-    chunk = data.draw(st.integers(1, dim * t.size), label="chunk entries")
     tile = data.draw(st.integers(1, dim * t.size), label="tile entries")
-    with mock.patch.multiple(dynamics, _CHUNK_ENTRIES=chunk, _TILE_ENTRIES=tile):
+    with mock.patch.object(dynamics, "_TILE_ENTRIES", tile):
         if route == "rk4":
             got = rk4_expectation_series(dyn, psi0, channels, t, occupations)
         else:
@@ -947,16 +947,51 @@ def test_read_channels_matches_the_per_channel_readout(data, with_occupations):
         if kept[i]
     }
     occupations = rng.integers(0, 30, size=dim) * 1.0 if with_occupations else None
-    # tiles of one row up to all of them: a tile of _TILE_ENTRIES, or of two
-    # rows where a chunk of _CHUNK_ENTRIES holds more
-    chunk = data.draw(st.integers(1, rows.size * steps), label="chunk entries")
+    # tiles of two rows up to all of them
     tile = data.draw(st.integers(1, rows.size * steps), label="tile entries")
-    with mock.patch.multiple(dynamics, _CHUNK_ENTRIES=chunk, _TILE_ENTRIES=tile):
+    with mock.patch.object(dynamics, "_TILE_ENTRIES", tile):
         got = read_channels(rows, None, states, psi0, channels, occupations)
     expected = read_channels_per_channel(rows, states, psi0, channels, occupations)
     assert list(got) == list(expected)
     for name, values in expected.items():
         assert np.array_equal(got[name], values), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(count=st.integers(0, 60), steps=st.integers(1, 5000),
+       entries=st.integers(1, 1 << 16))
+def test_tiles_cover_every_row_once_in_tiles_of_two_rows_or_more(count, steps, entries):
+    with mock.patch.object(dynamics, "_TILE_ENTRIES", entries):
+        tiles = _tiles(count, steps)
+    assert [i for tile in tiles for i in range(count)[tile]] == list(range(count))
+    sizes = [tile.stop - tile.start for tile in tiles]
+    if count >= 2:
+        assert min(sizes) >= 2
+    # within _TILE_ENTRIES, or of at most three rows where two hold more
+    assert all(size * steps <= max(entries, 3 * steps) for size in sizes)
+    assert _tiles(0, steps) == []
+
+
+@pytest.mark.parametrize("route", ["exponential", "rk4"])
+def test_populations_keep_their_bits_at_every_tile_size(route):
+    # |B[S] C|^2 is one BLAS product per tile, over two rows or more and
+    # every time, so the populations round the same in any tile
+    sys_ = ModeSystem((1.0, 1.3, 1.7), (4, 4, 4))
+    rng = np.random.default_rng(23)
+    psi0 = Ket(rng.normal(size=sys_.dimension) + 1j * rng.normal(size=sys_.dimension))
+    dyn = whole_register(sys_, psi0)
+    channels = {f"p_{k}": [k] for k in range(sys_.dimension)}
+    channels["p_pairs"] = np.arange(0, sys_.dimension, 7)
+    t = np.linspace(0.0, 6.0, 301)
+    evolve = rk4_expectation_series if route == "rk4" else evolve_probabilities
+    base = evolve(dyn, psi0, channels, t)
+    # the B C path: a basis, not the states on the rows
+    assert _reduced_states(dyn, psi0.amplitudes, t)[1] is not None
+    for entries in (1, 2 * t.size, 3 * t.size + 1, 40 * t.size, sys_.dimension * t.size):
+        with mock.patch.object(dynamics, "_TILE_ENTRIES", entries):
+            got = evolve(dyn, psi0, channels, t)
+        for name in channels:
+            assert np.array_equal(got[name], base[name]), (entries, name)
 
 
 def test_state_outside_the_subspace_trips_the_frozen_complement_gate():

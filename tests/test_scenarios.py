@@ -552,6 +552,10 @@ def test_cli_validation_error_exit_code(capsys, tmp_path):
         (["--scenario", "single-eigenstate", "--E0", "1e308"], "E0"),
         (["--scenario", "single-eigenstate", "--E0=-1e308"], "E0"),
         (["--E0", "1e308"], "E0"),
+        # a ground level above the lowest excitation: the vacuum is not passive
+        (["--E0", "5"], "E0"),
+        (["--scenario", "custom-state", "--cutoffs", "2", "--omega", "1",
+          "--amplitudes", "1,1,1", "--E0", "1.5"], "E0"),
     ):
         assert main(["run", "--engine", "exponential", *args]) == 2
         err = capsys.readouterr().err
@@ -760,12 +764,44 @@ def test_exponential_compare_builds_no_state_block_over_the_register():
 
 
 def test_cli_runs_a_ground_level_whose_square_overflows(capsys):
-    # E0 = +-1e300 passes the energy bound; the generator gates take their
+    # E0 = -1e300 passes the energy bound; the generator gates take their
     # norms in units of the energy scale, so residuals of order eps * 1e300
     # do not overflow when squared
-    for e0 in ("1e300", "-1e300"):
-        assert main(["run", "--engine", "exponential", f"--E0={e0}"]) == 0
-        assert capsys.readouterr().err == ""
+    assert main(["run", "--engine", "exponential", "--E0=-1e300"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2,
+    reason="one CPU: BLAS runs one thread at any setting, so nothing is compared",
+)
+def test_compare_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS splits a gemv, or a sum over a long axis, across its threads;
+    # no readout sum may take that path
+    amps = np.random.default_rng(15).normal(size=1331)
+    runs = {
+        "custom-2-2": ["--scenario", "custom-state", "--cutoffs", "2,2",
+                       "--omega", "1.0,1.4", "--amplitudes", "1,1,1,1,1,1,1,1,1",
+                       "--engine", "exponential", "--steps", "20001"],
+        "full-support": ["--scenario", "custom-state", "--cutoffs", "10,10,10",
+                         "--omega", "1.0,1.3,1.7",
+                         "--amplitudes=" + ",".join(map(repr, amps.tolist())),
+                         "--engine", "all"],
+    }
+    src = os.path.dirname(os.path.dirname(ergodyn.__file__))
+    for name, args in runs.items():
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            paths = tmp_path / f"{name}-{threads}.csv", tmp_path / f"{name}-{threads}.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "ergodyn", "compare", *args,
+                 "--csv", str(paths[0]), "--json", str(paths[1])],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append([path.read_bytes() for path in paths])
+        assert outputs[0] == outputs[1], name
 
 
 def test_full_support_run_peaks_under_one_and_a_half_times_its_series():
