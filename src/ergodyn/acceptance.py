@@ -5,8 +5,9 @@ pass/fail line per criterion.  The suite is what ``ergodyn selftest``
 executes and what tests/test_acceptance.py wraps.  The criteria on named
 scenarios (1-8) take their series from the pipeline users run,
 :func:`scenarios.load_config` and :func:`scenarios.run_scenario`, and hold
-them against closed forms and dense oracles computed here; criteria 9-12
-check the measures, passivity and the generator on random instances.
+them against closed forms and the dense oracles of :mod:`ergodyn.oracles`;
+criteria 9-12 check the measures, passivity and the generator on random
+instances.
 """
 
 from __future__ import annotations
@@ -23,21 +24,22 @@ from .dynamics import (
     effective_dynamics,
     effective_hamiltonian,
     evolve_probabilities,
-    expanded_generator,
-    propagator,
     survival_probability,
 )
-from .fock import (
+from .fock import Ket, ModeSystem, superposition
+from .measures import BipartitionSpec, l1_coherence, negativity
+from .oracles import (
     DensityOperator,
-    Ket,
-    ModeSystem,
+    build_passive_unitary,
+    expanded_generator,
     fock_ket,
     free_hamiltonian,
-    superposition,
+    kron_generator,
+    passive_state,
+    propagator,
     vacuum_ket,
 )
-from .measures import BipartitionSpec, l1_coherence, negativity
-from .passive import build_passive_unitary, decompose_against_ground, passive_state
+from .passive import decompose_against_ground
 from .scenarios import _assemble, load_config, run_scenario
 
 
@@ -163,7 +165,7 @@ def criterion_04_two_mode_products():
         u_p = np.kron(u_p, build_passive_unitary(dec, sub))
     sys_ = ModeSystem((omega_a, omega_b), (n + 1, m + 1))
     dense = effective_hamiltonian(free_hamiltonian(sys_), u_p)
-    dev_split = np.abs(_assemble(cfg).dyn.dense() - dense).max()
+    dev_split = np.abs(kron_generator(_assemble(cfg).dyn) - dense).max()
     checks = [
         (dev <= 1e-9, f"product-form deviation {dev:.2e}"),
         (dev_sum <= 1e-12, f"sum deviation {dev_sum:.2e}"),
@@ -466,7 +468,7 @@ def criterion_12_structural_properties():
         if (
             np.any(h_eff_g)
             or np.any(propagator(h_eff_g, t) != np.eye(dim))
-            or np.any(dyn_g.dense())
+            or np.any(kron_generator(dyn_g))
             or np.any(states != vac.amplitudes[rows, None])
         ):
             frozen_ok = False

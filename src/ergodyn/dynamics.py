@@ -23,8 +23,8 @@ only in the flow of each block: the exact exponential from the block's
 eigendecomposition, and classical RK4 stepping, whose step polynomial is
 powered on the block with no eigensolver.  The scenarios cross-check them
 against each other and against the closed forms.  The dense conjugation
-H - U_p^dag H U_p with its eigendecomposition is kept as the oracle of
-both.
+H - U_p^dag H U_p with its eigendecomposition is the oracle of both; the
+dense forms are in :mod:`ergodyn.oracles`, which no run imports.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class _Factor:
     """H_eff = h - U^dag h U of one block of consecutive modes, at rank <= 3.
 
     ``h`` is the block's diagonal energies and U the rotation of
-    :func:`passive.build_passive_unitary` for ``state``: U = 1 + D with
+    :func:`oracles.build_passive_unitary` for ``state``: U = 1 + D with
     D = [g, e] Dm [g, e]^dag, Dm = [[c - 1, s], [-s, c - 1]] for
     c, s = cos(theta), sin(theta).  So H_eff = -(D^dag h + h D + D^dag h D)
     = B M B^dag with B = [g, e, h e] and M a 3x3 matrix, and it is applied
@@ -187,21 +187,6 @@ class EffectiveDynamics:
     energy_gap: float
     mixing_sine: float
 
-    @property
-    def dimension(self) -> int:
-        return self.energies.size
-
-    def dense(self) -> np.ndarray:
-        """The N x N generator, the Kronecker sum of the factors' generators
-        (oracles only)."""
-        out = None
-        for f in self.factors:
-            local = f.apply(np.eye(f.dimension))
-            out = local if out is None else (
-                np.kron(out, np.eye(f.dimension)) + np.kron(np.eye(len(out)), local)
-            )
-        return (out + out.conj().T) / 2.0
-
 
 def effective_dynamics(factors) -> EffectiveDynamics:
     """Factored H_eff from ``(energies, state)`` pairs, one per block of modes.
@@ -241,6 +226,8 @@ def effective_dynamics(factors) -> EffectiveDynamics:
     )
 
 
+# a dense reference, left here as perfbench's tracer test needs a name of this
+# module in its dynamics.generator layer; it moves to oracles with ROADMAP item 1
 def effective_hamiltonian(
     hamiltonian: np.ndarray, passive_unitary: np.ndarray
 ) -> np.ndarray:
@@ -251,52 +238,6 @@ def effective_hamiltonian(
     return _hermitian_part(
         h - u.conj().T @ h @ u, h.shape[0], max(np.abs(h).max(), 1.0)
     )
-
-
-def expanded_generator(hamiltonian: np.ndarray, dec) -> np.ndarray:
-    """Coefficient-form drive generator on the ground/excited plane.
-
-    Builds the operator G with dA/dt = -i [G, A] from the scalar
-    coefficients of the decomposition (requires the ground basis vector to
-    be an eigenvector of H).  G equals the negative of the effective
-    generator, -(H - U_p^dag H U_p); the equality is exercised by the test
-    suite on random instances.
-    """
-    h = hamiltonian
-    if dec.excited is None:
-        return np.zeros(h.shape, dtype=complex)
-    dim = h.shape[0]
-    g = np.zeros(dim, dtype=complex)
-    g[0] = 1.0
-    e = dec.excited.amplitudes
-    c, s = np.cos(dec.theta), np.sin(dec.theta)
-    e_ground = float((g.conj() @ h @ g).real)
-    e_excited = float((e.conj() @ h @ e).real)
-    gap = e_excited - e_ground
-
-    pg = np.outer(g, g.conj())
-    pe = np.outer(e, e.conj())
-    ge = np.outer(g, e.conj())  # |ground><excited|
-    eg = np.outer(e, g.conj())
-
-    out = (
-        (2.0 * (1.0 - c) * e_excited - s**2 * gap) * pe
-        + s**2 * gap * pg
-        + s * (e_excited - c * gap) * (eg + ge)
-        - (1.0 - c) * (h @ pe + pe @ h)
-        - s * (ge @ h + h @ eg)
-    )
-    return (out + out.conj().T) / 2.0
-
-
-def propagator(h_eff: np.ndarray, t: float) -> np.ndarray:
-    """U(t) = exp(-i H_eff t) of a dense generator, via its eigendecomposition."""
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    if not np.any(h_eff):
-        return np.eye(len(h_eff), dtype=complex)
-    evals, evecs = np.linalg.eigh(h_eff)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
 def _exponential_flow(f: _Factor, t: np.ndarray):

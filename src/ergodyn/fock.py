@@ -1,8 +1,8 @@
 """Truncated multimode bosonic Hilbert space.
 
-Basis indexing, state vectors and density operators for a register of
-harmonic modes, each truncated at a per-mode occupation cutoff.  Operators
-are plain numpy arrays in that basis.
+Basis indexing, state vectors and diagonal energies for a register of
+harmonic modes, each truncated at a per-mode occupation cutoff; the dense
+forms (density operators, the N x N Hamiltonian) are in :mod:`ergodyn.oracles`.
 Internally hbar = 1, so every energy in the package is an angular frequency
 (rad/s).  Basis order is row-major in the mode occupations with the global
 vacuum |0...0> at flat index 0.
@@ -13,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-#: tolerance for hermiticity / normalization checks on construction
-ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,41 +91,6 @@ class Ket:
         return self.amplitudes.shape[0]
 
 
-class DensityOperator:
-    """Hermitian, unit-trace, (numerically) positive matrix."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density operator must be square, got {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > ATOL:
-            raise ValueError("density operator is not Hermitian within 1e-12")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"density operator trace {tr!r} differs from 1")
-        evals = np.linalg.eigvalsh(mat)
-        if evals.min() < -1e-10:
-            raise ValueError(f"density operator has eigenvalue {evals.min():g} < -1e-10")
-        self.matrix = mat
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-def fock_ket(system: ModeSystem, occupations) -> Ket:
-    """Basis vector |n_1 ... n_k>."""
-    vec = np.zeros(system.dimension, dtype=complex)
-    vec[flat_index(system, occupations)] = 1.0
-    return Ket(vec)
-
-
-def vacuum_ket(system: ModeSystem) -> Ket:
-    return fock_ket(system, (0,) * system.modes)
-
-
 def superposition(system: ModeSystem, terms) -> Ket:
     """Normalized combination sum_occ amp * |occ> from {occupations: amplitude}."""
     terms = dict(terms)
@@ -160,9 +122,3 @@ def occupation_counts(system: ModeSystem) -> np.ndarray:
 def free_energies(system: ModeSystem) -> np.ndarray:
     """Energy sum_i n_i omega_i of every basis vector, in flat-index order."""
     return _occupation_sum(system, system.omega)
-
-
-def free_hamiltonian(system: ModeSystem) -> np.ndarray:
-    """Dense diagonal free Hamiltonian: |n_1...n_k> has energy sum_i n_i omega_i
-    (oracles only; the run path keeps :func:`free_energies`)."""
-    return np.diag(free_energies(system))

@@ -1,9 +1,8 @@
 """Passive-state machinery.
 
-Canonical split of a pure state against the ground state, the unitary that
-maps a pure state onto the ground state while acting as the identity outside
-the plane it spans with the ground state, and passive rearrangement of mixed
-states (largest population onto the lowest level).
+Canonical split of a pure state against the ground state, which fixes the
+passive rotation U_p of the generator.  U_p as a dense matrix, and passive
+rearrangement of mixed states, are references in :mod:`ergodyn.oracles`.
 """
 
 from __future__ import annotations
@@ -12,14 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError
-from .fock import ATOL, DensityOperator, Ket, ModeSystem
+from .fock import Ket
 
 #: below this mixing angle the state is treated as the ground state itself
 THETA_TOL = 1e-12
-
-#: minimum spectral gap for the mixed-state rearrangement to be well defined
-GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,63 +50,3 @@ def decompose_against_ground(psi: Ket) -> GroundDecomposition:
     if theta < THETA_TOL or not np.any(rest):
         return GroundDecomposition(theta=0.0, excited=None)
     return GroundDecomposition(theta=theta, excited=Ket(rest))
-
-
-def build_passive_unitary(dec: GroundDecomposition, system: ModeSystem) -> np.ndarray:
-    """Unitary rotating the decomposed state onto the ground state.
-
-    Acts as cos(theta) on the (ground, excited) plane with off-diagonal
-    couplings +sin(theta)|g><e| and -sin(theta)|e><g|, and as the exact
-    identity on every basis vector orthogonal to that plane.
-    """
-    dim = system.dimension
-    if dec.excited is None:
-        return np.eye(dim, dtype=complex)
-    if dec.excited.dimension != dim:
-        raise ValueError(
-            f"decomposition lives in dimension {dec.excited.dimension}, "
-            f"system has {dim}"
-        )
-    g = np.zeros(dim, dtype=complex)
-    g[0] = 1.0
-    e = dec.excited.amplitudes
-    c, s = np.cos(dec.theta), np.sin(dec.theta)
-    pg = np.outer(g, g.conj())
-    pe = np.outer(e, e.conj())
-    return (
-        c * (pg + pe)
-        + s * np.outer(g, e.conj())
-        - s * np.outer(e, g.conj())
-        + np.eye(dim)
-        - pg
-        - pe
-    )
-
-
-def passive_state(rho: DensityOperator, hamiltonian: np.ndarray) -> DensityOperator:
-    """Unitary rearrangement of rho with minimal energy.
-
-    Populations of rho sorted in decreasing order are attached to the energy
-    levels of ``hamiltonian`` sorted in increasing order.  Requires a
-    nondegenerate spectrum; levels closer than GAP_TOL make the target
-    ambiguous and raise :class:`DegenerateSpectrumError`.
-    """
-    h = np.asarray(hamiltonian)
-    if h.shape != rho.matrix.shape:
-        raise ValueError(
-            f"dimension mismatch: state {rho.matrix.shape}, hamiltonian {h.shape}"
-        )
-    if np.abs(h - h.conj().T).max() > ATOL * max(np.abs(h).max(), 1.0):
-        raise ValueError("hamiltonian must be Hermitian")
-    energies, levels = np.linalg.eigh(h)
-    gaps = np.diff(energies)
-    if len(gaps) and gaps.min() < GAP_TOL:
-        raise DegenerateSpectrumError(
-            f"spectrum has gap {gaps.min():g} < {GAP_TOL:g}; "
-            "passive rearrangement requires a unique level ordering"
-        )
-    populations = np.linalg.eigvalsh(rho.matrix)[::-1]  # descending
-    populations = np.clip(populations, 0.0, None)
-    populations = populations / populations.sum()
-    out = (levels * populations) @ levels.conj().T
-    return DensityOperator(out)

@@ -640,6 +640,24 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
     if not math.isfinite(4.0 * sum(top)):
         key = "E0" if top.index(max(top)) == len(top) - 1 else omega_key
         raise ConfigError(key, f"top energy {sum(top):g} leaves the float range")
+
+    def horizon(omega_osc):
+        # t_max, or else two periods of omega_osc, or 10 if nothing oscillates
+        t_max = model.t_default if cfg.t_max is None else cfg.t_max
+        if t_max is None:
+            t_max = 4 * math.pi / omega_osc if omega_osc > 0 else 10.0
+        if not math.isfinite(4.0 * sum(top) * t_max):
+            # the default horizon is set by the frequencies
+            key = "t_max" if cfg.t_max is not None else omega_key
+            raise ConfigError(key, f"{t_max:g} takes phases E t past the float range")
+        return t_max
+
+    # checked before the build unless the default horizon needs the generator
+    if (cfg.t_max, model.t_default, model.omega_osc) != (None, None, None):
+        horizon(model.omega_osc)
+    if cfg.engine == "analytic" and model.probabilities is None:
+        raise ConfigError("engine", f"scenario {cfg.scenario!r} has no "
+                          "closed-form route")
     system = ModeSystem(model.omega, cutoffs)
     psi = superposition(system, model.terms)
     if model.mode_terms is None:
@@ -688,14 +706,7 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
     omega_osc = model.omega_osc
     if omega_osc is None:
         omega_osc = cf.oscillation_frequency(dynamics_theta(dyn), dyn.energy_gap)
-    t_default = model.t_default
-    if t_default is None:
-        t_default = 4 * math.pi / omega_osc if omega_osc > 0 else 10.0
-    t_max = t_default if cfg.t_max is None else cfg.t_max
-    if not math.isfinite(4.0 * sum(top) * t_max):
-        # the default horizon is set by the frequencies
-        key = "t_max" if cfg.t_max is not None else omega_key
-        raise ConfigError(key, f"{t_max:g} takes phases E t past the float range")
+    t_max = horizon(omega_osc)
     analytic_tol = TOL_ANALYTIC
     if model.analytic_tol is not None:
         analytic_tol = model.analytic_tol(t_max)
@@ -758,11 +769,6 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
     occupations = occupation_counts(prep.system)
 
     engine = cfg.engine
-    if engine == "analytic" and prep.closed_channels is None:
-        raise ConfigError(
-            "engine", f"scenario {cfg.scenario!r} has no closed-form route"
-        )
-
     routes = {}
     if engine in ("exponential", "all"):
         routes["exponential"] = _exponential_channels(prep, t_grid, occupations)

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ergodyn import BipartitionSpec, DensityOperator, GridError, Ket, ModeSystem
+from ergodyn.errors import GridError
+from ergodyn.fock import Ket, ModeSystem
+from ergodyn.measures import BipartitionSpec
+from ergodyn.oracles import DensityOperator, kron_generator
 
 
 def pure_density(ket: Ket) -> DensityOperator:
@@ -114,11 +117,11 @@ def dense_rk4_states(dyn, psi0: Ket, t_grid, substeps: int) -> np.ndarray:
     """
     t = np.asarray(t_grid, dtype=float)
     h = (t[1] - t[0]) / substeps
-    x = -1j * h * dyn.dense()
-    eye = np.eye(dyn.dimension)
+    x = -1j * h * kron_generator(dyn)
+    eye = np.eye(dyn.energies.size)
     step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
     power = np.linalg.matrix_power(step, substeps)
-    states = np.empty((dyn.dimension, t.size), dtype=complex)
+    states = np.empty((dyn.energies.size, t.size), dtype=complex)
     states[:, 0] = psi0.amplitudes
     for k in range(1, t.size):
         states[:, k] = power @ states[:, k - 1]

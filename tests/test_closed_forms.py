@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ergodyn import (
+from ergodyn.closed_forms import (
     GravityScenario,
-    ModeSystem,
     MoonParams,
     balanced_superposition_number,
     balanced_superposition_probabilities,
-    build_passive_unitary,
-    decompose_against_ground,
     detuning_response,
-    effective_hamiltonian,
-    fock_ket,
-    free_hamiltonian,
     gravitational_probabilities,
     moon_degenerate_probabilities,
     moon_perturbative_probabilities,
@@ -22,10 +16,13 @@ from ergodyn import (
     oscillation_frequency_from_coherence,
     product_recurrence_possible,
     separable_pair_probabilities,
-    superposition,
     two_level_probabilities,
     two_level_survival,
 )
+from ergodyn.dynamics import effective_hamiltonian
+from ergodyn.fock import ModeSystem, superposition
+from ergodyn.oracles import build_passive_unitary, fock_ket, free_hamiltonian
+from ergodyn.passive import decompose_against_ground
 from ergodyn.scenarios import _assemble, load_config
 from oracles import first_order_dyson
 

@@ -12,31 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from ergodyn import (
-    GridError,
-    RefinementError,
-    Ket,
-    ModeSystem,
-    build_passive_unitary,
-    decompose_against_ground,
-    effective_dynamics,
-    effective_hamiltonian,
-    evolve_probabilities,
-    expanded_generator,
-    flat_index,
-    fock_ket,
-    free_energies,
-    free_hamiltonian,
-    occupation_counts,
-    propagator,
-    rk4_expectation_series,
-    superposition,
-    survival_probability,
-    two_level_probabilities,
-    two_level_survival,
-    vacuum_ket,
-)
 from ergodyn import dynamics
+from ergodyn.closed_forms import two_level_probabilities, two_level_survival
 from ergodyn.dynamics import (
     LEAKAGE_TOL,
     RK4_DRIFT_TOL,
@@ -44,8 +21,32 @@ from ergodyn.dynamics import (
     _projected_block,
     _reduced_states,
     _tiles,
+    effective_dynamics,
+    effective_hamiltonian,
+    evolve_probabilities,
     read_channels,
+    rk4_expectation_series,
+    survival_probability,
 )
+from ergodyn.errors import GridError, RefinementError
+from ergodyn.fock import (
+    Ket,
+    ModeSystem,
+    flat_index,
+    free_energies,
+    occupation_counts,
+    superposition,
+)
+from ergodyn.oracles import (
+    build_passive_unitary,
+    expanded_generator,
+    fock_ket,
+    free_hamiltonian,
+    kron_generator,
+    propagator,
+    vacuum_ket,
+)
+from ergodyn.passive import decompose_against_ground
 from ergodyn.scenarios import TOL_RK4, _assemble, load_config, run_scenario
 from oracles import (
     block_probabilities,
@@ -95,7 +96,7 @@ def test_ground_state_gives_zero_generator():
     psi = vacuum_ket(sys_)
     h_eff = dense_generator(sys_, psi)
     np.testing.assert_array_equal(h_eff, 0.0)
-    np.testing.assert_array_equal(whole_register(sys_, psi).dense(), 0.0)
+    np.testing.assert_array_equal(kron_generator(whole_register(sys_, psi)), 0.0)
     # frozen ground state: the propagator is exactly the identity
     for t in (0.0, 1.7, 100.0):
         np.testing.assert_array_equal(propagator(h_eff, t), np.eye(4))
@@ -110,11 +111,11 @@ def test_two_level_block_matches_direct_product():
     sys_, psi, dyn = two_level_setup(theta, gap)
     c, s = np.cos(theta), np.sin(theta)
     expected_block = s * gap * np.array([[-s, c], [c, s]])
-    np.testing.assert_allclose(dyn.dense().real, expected_block, atol=1e-12)
+    np.testing.assert_allclose(kron_generator(dyn).real, expected_block, atol=1e-12)
     # independent route: build U_p H U_p^dag by hand
     u = build_passive_unitary(decompose_against_ground(psi), sys_)
     h = free_hamiltonian(sys_)
-    np.testing.assert_allclose(dyn.dense(), h - u.conj().T @ h @ u, atol=1e-14)
+    np.testing.assert_allclose(kron_generator(dyn), h - u.conj().T @ h @ u, atol=1e-14)
 
 
 def test_generator_block_structure_in_full_space():
@@ -122,7 +123,7 @@ def test_generator_block_structure_in_full_space():
     psi = superposition(sys_, {(0,): 1.0, (3,): 1.0})
     mask = np.ones((5, 5), dtype=bool)
     mask[np.ix_([0, 3], [0, 3])] = False
-    assert np.abs(whole_register(sys_, psi).dense()[mask]).max() < 1e-12
+    assert np.abs(kron_generator(whole_register(sys_, psi))[mask]).max() < 1e-12
     assert np.abs(dense_generator(sys_, psi)[mask]).max() < 1e-12
 
 
@@ -133,13 +134,13 @@ def test_generator_scalars_and_trace():
     assert dyn.excited_energy == pytest.approx(gap, abs=1e-12)
     assert dyn.energy_gap == pytest.approx(gap, abs=1e-12)
     assert dyn.mixing_sine == pytest.approx(np.sin(theta), abs=1e-12)
-    assert abs(np.trace(dyn.dense())) < 1e-12
+    assert abs(np.trace(kron_generator(dyn))) < 1e-12
 
 
 def test_two_level_spectrum():
     theta, gap = 0.7, 1.3
     _, _, dyn = two_level_setup(theta, gap)
-    eigs = np.linalg.eigvalsh(dyn.dense())
+    eigs = np.linalg.eigvalsh(kron_generator(dyn))
     np.testing.assert_allclose(
         eigs, [-np.sin(theta) * gap, np.sin(theta) * gap], atol=1e-12
     )
@@ -159,7 +160,7 @@ def test_expanded_generator_eigenstate_reduces_to_two_level():
     theta, gap = 0.52, 1.7
     sys_, psi, dyn = two_level_setup(theta, gap)
     g = expanded_generator(free_hamiltonian(sys_), decompose_against_ground(psi))
-    np.testing.assert_allclose(g, -dyn.dense(), atol=1e-12)
+    np.testing.assert_allclose(g, -kron_generator(dyn), atol=1e-12)
     c, s = np.cos(theta), np.sin(theta)
     expected = s * gap * np.array([[s, -c], [-c, -s]])
     np.testing.assert_allclose(g.real, expected, atol=1e-12)
@@ -179,7 +180,7 @@ def test_expanded_generator_equals_conjugation_difference():
         h_eff = effective_hamiltonian(h, u)
         np.testing.assert_allclose(g, -h_eff, atol=1e-10)
         dyn = effective_dynamics([(np.diag(h), psi)])
-        np.testing.assert_allclose(g, -dyn.dense(), atol=1e-10)
+        np.testing.assert_allclose(g, -kron_generator(dyn), atol=1e-10)
 
 
 def test_expanded_generator_zero_at_theta_zero():
@@ -585,7 +586,7 @@ def test_index_readout_matches_dense_projectors(cutoffs, data):
         },
     )
     prep = _assemble(cfg)
-    states = dense_states(prep.dyn.dense(), prep.psi0, np.linspace(0.0, 5.0, 7))
+    states = dense_states(kron_generator(prep.dyn), prep.psi0, np.linspace(0.0, 5.0, 7))
     got = read_channels(
         np.arange(dim), None, states, prep.psi0.amplitudes, prep.channels
     )
@@ -673,7 +674,7 @@ def test_product_rotation_factorizes_generator():
     dyn_ab = effective_dynamics(
         [(free_energies(sys_a), psi_a), (free_energies(sys_b), psi_b)]
     )
-    np.testing.assert_allclose(dyn_ab.dense(), h_ab, atol=1e-12)
+    np.testing.assert_allclose(kron_generator(dyn_ab), h_ab, atol=1e-12)
 
     # probabilities factorize into the single-mode ones
     psi_ab = superposition(
@@ -715,7 +716,7 @@ def _assert_reduced_matches_dense(prep, u_p):
     dense conjugation H - U_p^dag H U_p and its eigendecomposition."""
     sys_ = prep.system
     h_eff = effective_hamiltonian(free_hamiltonian(sys_), u_p)
-    np.testing.assert_allclose(prep.dyn.dense(), h_eff, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(kron_generator(prep.dyn), h_eff, rtol=0.0, atol=1e-12)
     t = np.linspace(0.0, 7.0, 15)
     occupations = occupation_counts(sys_)
     got = evolve_probabilities(prep.dyn, prep.psi0, prep.channels, t, occupations)
@@ -813,7 +814,7 @@ def test_product_generator_moves_an_entangled_state_on_its_rows(n, m, cutoffs):
     occupations = occupation_counts(sys_)
     t = np.linspace(0.0, 7.0, 15)
     got = evolve_probabilities(dyn, psi0, channels, t, occupations)
-    dense = dense_states(dyn.dense(), psi0, t)
+    dense = dense_states(kron_generator(dyn), psi0, t)
     expected = read_channels_per_channel(
         np.arange(sys_.dimension), dense, psi0.amplitudes, channels, occupations
     )
@@ -890,7 +891,7 @@ def test_basis_coefficient_readout_matches_the_dense_oracle(kind, route, data):
         else:
             got = evolve_probabilities(dyn, psi0, channels, t, occupations)
     expected = read_channels_per_channel(
-        np.arange(dim), dense_states(dyn.dense(), psi0, t), psi0.amplitudes,
+        np.arange(dim), dense_states(kron_generator(dyn), psi0, t), psi0.amplitudes,
         channels, occupations,
     )
     assert got.keys() == expected.keys()

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from ergodyn import (
-    Ket,
-    ModeSystem,
-    flat_index,
-    fock_ket,
-    free_hamiltonian,
-    occupation_counts,
-    superposition,
-)
+from ergodyn.fock import Ket, ModeSystem, flat_index, occupation_counts, superposition
+from ergodyn.oracles import fock_ket, free_hamiltonian
 
 
 def basis_order(sys_):

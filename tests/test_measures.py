@@ -4,16 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ergodyn import (
-    BipartitionSpec,
-    DensityOperator,
-    Ket,
-    ModeSystem,
-    fock_ket,
-    l1_coherence,
-    negativity,
-    superposition,
-)
+from ergodyn.fock import Ket, ModeSystem, superposition
+from ergodyn.measures import BipartitionSpec, l1_coherence, negativity
+from ergodyn.oracles import DensityOperator, fock_ket
 
 TWO = ModeSystem((1.0, 1.5), (2, 3))
 

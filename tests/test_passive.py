@@ -3,18 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from ergodyn import (
-    DegenerateSpectrumError,
+from ergodyn.errors import DegenerateSpectrumError
+from ergodyn.fock import Ket, ModeSystem, superposition
+from ergodyn.oracles import (
     DensityOperator,
-    Ket,
-    ModeSystem,
     build_passive_unitary,
-    decompose_against_ground,
     fock_ket,
     passive_state,
-    superposition,
     vacuum_ket,
 )
+from ergodyn.passive import decompose_against_ground
 
 SYS5 = ModeSystem((1.0,), (4,))
 

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergodyn
-from ergodyn import cli, dynamics
+from ergodyn import cli, dynamics, scenarios
 from ergodyn.cli import main
 from ergodyn.dynamics import TimeSeries
 from ergodyn.emit import (
@@ -26,6 +27,7 @@ from ergodyn.emit import (
     write_series_csv,
 )
 from ergodyn.errors import ConfigError, EngineDisagreementError, RefinementError
+from ergodyn.fock import Ket
 from ergodyn.scenarios import (
     _SCHEMA,
     MAX_RUN_ENTRIES,
@@ -303,7 +305,7 @@ def test_custom_state_channel_table_matches_set_operations(cutoffs, kind, data):
     })
     prep = _assemble(cfg)
     # the state is the given vector, normalized, bit for bit
-    expected_state = ergodyn.Ket(amplitudes).amplitudes
+    expected_state = Ket(amplitudes).amplitudes
     np.testing.assert_array_equal(prep.psi0.amplitudes, expected_state)
     got = prep.channels
     expected = _set_op_channels(prep.psi0.amplitudes, cutoffs)
@@ -328,6 +330,32 @@ sys.exit("numpy.ma" in sys.modules)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr or "numpy.ma was imported"
+
+
+def test_runs_never_import_the_dense_references(tmp_path):
+    # ergodyn.oracles holds the N x N references and ergodyn.acceptance the
+    # selftest: run, compare and sweep import neither; selftest imports both
+    code = f"""
+import contextlib, io, sys
+from ergodyn.cli import main
+out = {str(tmp_path)!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["run", "--steps", "11"],
+                 ["compare", "--steps", "11", "--csv", out + "/s.csv",
+                  "--json", out + "/s.json"],
+                 ["sweep", "--steps", "11", "--parameter", "theta",
+                  "--values", "0.3,0.6", "--out", out + "/w.csv"]):
+        assert main(argv) == 0, argv
+    loaded = {{"ergodyn.oracles", "ergodyn.acceptance"}} & set(sys.modules)
+    assert not loaded, sorted(loaded)
+    assert main(["selftest"]) == 0
+assert "ergodyn.oracles" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(ergodyn.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_multimode_periodicity_flag():
@@ -562,6 +590,25 @@ def test_cli_validation_error_exit_code(capsys, tmp_path):
         assert err.startswith(f"configuration error in {field}:")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, field, message", [
+    (["--n", "3000000", "--steps", "2", "--t_max", "1e303"], "t_max",
+     "1e+303 takes phases E t past the float range"),
+    (["--scenario", "custom-state", "--cutoffs", "3,3", "--omega", "1.0,1.4",
+      "--amplitudes", "1,0.5,0,0.2,0,0,0,0.3,0,0,0,0,0,0,0.1,0",
+      "--engine", "analytic"], "engine",
+     "scenario 'custom-state' has no closed-form route"),
+])
+def test_refusals_come_before_the_register_is_built(args, field, message, capsys):
+    # the state over N basis states is the first O(N) object; a horizon that
+    # the config or the model sets, and a missing closed form, need none
+    def build(*_):
+        raise AssertionError("the register was built before the refusal")
+
+    with mock.patch.object(scenarios, "superposition", build):
+        assert main(["run", *args]) == 2
+    assert capsys.readouterr().err == f"configuration error in {field}: {message}\n"
 
 
 #: a valid base config for the scenarios that need explicit keys
