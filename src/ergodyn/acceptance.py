@@ -93,13 +93,9 @@ def criterion_01_two_level_triangle():
         (worst_er <= 1e-8, f"exponential vs RK4 {worst_er:.2e}"),
         (worst_sum <= 1e-12, f"partition deviation {worst_sum:.2e}"),
     ]
-    return _result(
-        1,
-        "two-level probability triangle",
-        checks,
-        f"max |analytic-exp| {worst_ae:.2e}, |exp-RK4| {worst_er:.2e}, "
-        f"|p0+pe-1| {worst_sum:.2e}",
-    )
+    return _result(1, "two-level probability triangle", checks,
+                   f"max |analytic-exp| {worst_ae:.2e}, |exp-RK4| {worst_er:.2e}, "
+                   f"|p0+pe-1| {worst_sum:.2e}")
 
 
 def criterion_02_survival_closed_form():
@@ -417,13 +413,9 @@ def criterion_12_structural_properties():
     generator expansions agreeing, and the reduced route matching the dense
     eigendecomposition, on random instances."""
     rng = np.random.default_rng(777)
-    worst = {
-        "unitarity": 0.0,
-        "trace": 0.0,
-        "stationary": 0.0,
-        "equivalence": 0.0,
-        "reduced": 0.0,
-    }
+    worst = dict.fromkeys(
+        ("unitarity", "trace", "stationary", "equivalence", "reduced"), 0.0
+    )
     frozen_ok = True
     for _ in range(100):
         dim = int(rng.integers(2, 9))

@@ -58,9 +58,6 @@ RANK_TOL = 1e-15
 #: subnormal, and tolerances relative to it would be finer than rounding
 SMALLEST_SCALE = np.finfo(float).tiny / np.finfo(float).eps
 
-#: default number of integrator steps per oscillation period
-RK4_STEPS_PER_PERIOD = 2000
-
 #: state-norm drift above which the RK4 step is rejected
 RK4_DRIFT_TOL = 1e-6
 
@@ -177,7 +174,7 @@ class EffectiveDynamics:
     (psi = U_p^dag |ground>): ``ground_energy`` = <0|H|0>,
     ``excited_energy`` the energy of the excited component, ``energy_gap``
     their difference.  ``mixing_sine`` is sin(theta) of the recovered
-    decomposition and feeds the default integrator step.
+    decomposition and feeds the RK4 step rule of the scenarios.
     """
 
     factors: tuple
@@ -250,24 +247,30 @@ def _exponential_flow(f: _Factor, t: np.ndarray):
 def _rk4_flow(f: _Factor, t: np.ndarray, h: float, substeps: int):
     """RK4 flow of a factor's block in the basis Q: S^k - 1 at the k-th grid
     time, for S the ``substeps``-th power of one step, the degree-4 Taylor
-    polynomial of x = -i h A.  The powers S^k are stacked by doubling; a
+    polynomial of x = -i h A.  The powers S^k are stacked by doubling, in
+    place: the rows [n, 2n) are rows [0, n) times S^n, one 2-D product.  A
     rounded S whose powers overflow raises :class:`RefinementError`."""
     x = -1j * h * f.block
-    eye = np.eye(len(x))
+    k = len(x)
+    eye = np.eye(k)
     step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            power = np.linalg.matrix_power(step, substeps)
-            stack = eye[None]
-            while len(stack) < t.size:
-                stack = np.concatenate([stack, stack @ power])
-                power = power @ power
-    except FloatingPointError:
+    stack = np.empty((t.size, k, k), dtype=complex)
+    stack[0], done = eye, 1
+    # BLAS threads keep their overflow flags, so finiteness is checked after
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.linalg.matrix_power(step, substeps)
+        while done < t.size:
+            rows = min(done, t.size - done)
+            np.matmul(stack[:rows].reshape(-1, k), power,
+                      out=stack[done:done + rows].reshape(-1, k))
+            done, power = done + rows, power @ power
+    if not np.isfinite(stack).all():
         raise RefinementError(
             f"RK4 step matrix overflows when powered to {substeps:.3g} substeps "
             "per sample; shorten t_max or choose engine exponential"
-        ) from None
-    return f.basis, stack[: t.size] - eye
+        )
+    stack -= eye
+    return f.basis, stack
 
 
 def _reduced_states(
@@ -324,7 +327,9 @@ def _reduced_states(
         if flow.ndim == 2:
             coeffs *= flow[:, None, :]
         else:
-            coeffs = np.einsum("tij,ljkt->likt", flow, coeffs)
+            # the flow laid out as (i, j, t), so that t runs innermost
+            flow = np.ascontiguousarray(flow.transpose(1, 2, 0))
+            coeffs = np.einsum("ijt,ljkt->likt", flow, coeffs)
         view += p @ coeffs.reshape(len(view), p.shape[1], -1)
     return rows, None, states
 
@@ -402,24 +407,9 @@ def read_channels(rows, basis, coeffs, psi0, channels: dict, occupations=None) -
     return out
 
 
-def default_rk4_step(dyn: EffectiveDynamics, omega_max: float = 0.0) -> float:
-    """Default integrator step: one 2000th of the fastest oscillation period."""
-    omega_osc = max(abs(dyn.mixing_sine * dyn.energy_gap), float(omega_max))
-    if omega_osc <= 0.0:
-        # static generator: any step works; normalize on the largest block entry
-        scale = max(np.abs(f.block).max() for f in dyn.factors)
-        omega_osc = scale if scale > 0 else 1.0
-    return (2.0 * np.pi / omega_osc) / RK4_STEPS_PER_PERIOD
-
-
 def rk4_expectation_series(
-    dyn: EffectiveDynamics,
-    psi0: Ket,
-    channels: dict,
-    t_grid,
-    occupations=None,
-    substeps: int | None = None,
-    omega_max: float = 0.0,
+    dyn: EffectiveDynamics, psi0: Ket, channels: dict, t_grid, occupations=None,
+    *, substeps: int,
 ) -> dict[str, np.ndarray]:
     """RK4 route for the readout of :func:`read_channels`.
 
@@ -431,9 +421,10 @@ def rk4_expectation_series(
     used, so the route is independent of the exponential propagator.  The
     exact flow conserves the state norm; a drift beyond RK4_DRIFT_TOL at
     any grid time aborts with :class:`RefinementError`, and so does a step
-    matrix that overflows when powered to the substep count.  ``psi0`` is
-    the state at t = 0, as for the exponential route, and the steps start
-    there, so the grid must begin at 0 (:class:`GridError` otherwise).
+    matrix that overflows when powered to the substep count.  ``substeps``
+    steps span one grid step; the caller chooses them.  ``psi0`` is the
+    state at t = 0, as for the exponential route, and the steps start there,
+    so the grid must begin at 0 (:class:`GridError` otherwise).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -443,8 +434,6 @@ def rk4_expectation_series(
     dt = np.diff(t)
     if np.abs(dt - dt[0]).max() > 1e-9 * abs(dt[0]):
         raise GridError("time grid must be uniform")
-    if substeps is None:
-        substeps = max(1, int(np.ceil(dt[0] / default_rk4_step(dyn, omega_max))))
     if substeps < 1:
         raise GridError(f"substeps must be >= 1, got {substeps}")
     h = float(dt[0]) / substeps

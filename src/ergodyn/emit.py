@@ -62,10 +62,6 @@ def _csv_blocks(series: TimeSeries):
         yield format_block(np.stack([c[start:start + rows] for c in columns], axis=1))
 
 
-def format_series_csv(series: TimeSeries) -> str:
-    return b"".join(_csv_blocks(series)).decode("utf-8")
-
-
 def write_series_csv(series: TimeSeries, path) -> None:
     with open(path, "wb") as fh:
         for chunk in _csv_blocks(series):

@@ -5,10 +5,6 @@ class ErgodynError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateSpectrumError(ErgodynError):
-    """Passive rearrangement requested for a Hamiltonian with degenerate levels."""
-
-
 class GridError(ErgodynError):
     """A time grid does not meet the requirements of the integrator."""
 

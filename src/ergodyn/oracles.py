@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError
+from .errors import ErgodynError
 from .fock import Ket, ModeSystem, flat_index, free_energies
 from .passive import GroundDecomposition
 
@@ -20,6 +20,10 @@ ATOL = 1e-12
 
 #: minimum spectral gap for the mixed-state rearrangement to be well defined
 GAP_TOL = 1e-10
+
+
+class DegenerateSpectrumError(ErgodynError):
+    """Passive rearrangement requested for a Hamiltonian with degenerate levels."""
 
 
 class DensityOperator:

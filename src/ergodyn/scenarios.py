@@ -49,6 +49,8 @@ ENGINES = ("analytic", "exponential", "rk4", "all")
 TOL_ANALYTIC = 1e-9
 #: exponential vs RK4 at the default step
 TOL_RK4 = 1e-7
+#: default number of integrator steps per oscillation period
+RK4_STEPS_PER_PERIOD = 2000
 #: frozen scale for the perturbative closed-form residual, tol = coeff * eps^2
 PERT_RESIDUAL_COEFF = 8.0
 
@@ -58,11 +60,11 @@ MAX_STEPS = 1_000_000
 
 #: most entries (N + C) x steps per run, for N basis states and C series
 #: columns: the channel table, and the states on the rows psi(t) can reach
-#: for the product scenarios.  A run peaks at 49 bytes per entry or less
+#: for the product scenarios.  A run peaks at 40 bytes per entry or less
 #: (tracemalloc, engine all, run and compare with CSV: N 216 to 2197 with
 #: up to 6598 columns at 2001 samples, 6.2 to 8.3 bytes at 2197; the default
-#: registers at 1e5 samples, where the RK4 flow stacks set the maximum):
-#: under 2 GB, below a third of an 8 GB machine.  Every default scenario
+#: registers at 1e5 samples, where the RK4 flow stacks set the maximum, 39.2
+#: bytes for gravitational-mzi): under 2 GB, below a third of an 8 GB machine.  Every default scenario
 #: fits at MAX_STEPS under run.
 MAX_RUN_ENTRIES = 40_000_000
 
@@ -589,6 +591,9 @@ class _Prepared:
     channels: dict  # name -> flat Fock indices whose populations it sums
     closed_channels: object  # callable t -> dict of channel arrays, or None
     t_max: float
+    t_grid: np.ndarray
+    occupations: np.ndarray  # total occupation of each flat Fock index
+    rk4_substeps: int | None  # per grid step; None when no RK4 route runs
     omega_osc: float
     analytic_tol: float
     summary_extra: dict
@@ -599,9 +604,24 @@ def dynamics_theta(dyn: EffectiveDynamics) -> float:
     return float(math.asin(min(max(dyn.mixing_sine, 0.0), 1.0)))
 
 
+def _rk4_substeps(dyn: EffectiveDynamics, omega_max: float, dt: float) -> int:
+    """RK4 substeps per grid step ``dt``: a step of at most one
+    RK4_STEPS_PER_PERIOD-th of the fastest period, of |sin(theta) gap| or
+    ``omega_max``, or of the largest block entry when neither oscillates."""
+    omega_osc = max(abs(dyn.mixing_sine * dyn.energy_gap), float(omega_max))
+    if omega_osc <= 0.0:
+        # static generator: any step works; normalize on the largest block entry
+        scale = max(np.abs(f.block).max() for f in dyn.factors)
+        omega_osc = scale if scale > 0 else 1.0
+    step = (2.0 * np.pi / omega_osc) / RK4_STEPS_PER_PERIOD
+    return max(1, int(np.ceil(dt / step)))
+
+
 def _assemble(cfg: ScenarioConfig) -> _Prepared:
     """Register, state, factored generator, channels and closed form of the
-    configured scenario, from its row of :data:`SCENARIOS`."""
+    configured scenario, from its row of :data:`SCENARIOS`, and the run's
+    plan: the horizon, the time grid, the occupations and the RK4 substeps.
+    Every ConfigError of a run is raised here."""
     spec = SCENARIOS[cfg.scenario]
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -653,8 +673,8 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
         return t_max
 
     # checked before the build unless the default horizon needs the generator
-    if (cfg.t_max, model.t_default, model.omega_osc) != (None, None, None):
-        horizon(model.omega_osc)
+    early = (cfg.t_max, model.t_default, model.omega_osc) != (None, None, None)
+    t_max = horizon(model.omega_osc) if early else None
     if cfg.engine == "analytic" and model.probabilities is None:
         raise ConfigError("engine", f"scenario {cfg.scenario!r} has no "
                           "closed-form route")
@@ -706,7 +726,8 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
     omega_osc = model.omega_osc
     if omega_osc is None:
         omega_osc = cf.oscillation_frequency(dynamics_theta(dyn), dyn.energy_gap)
-    t_max = horizon(omega_osc)
+    t_max = t_max if early else horizon(omega_osc)
+    t_grid = np.linspace(0.0, t_max, cfg.steps)
     analytic_tol = TOL_ANALYTIC
     if model.analytic_tol is not None:
         analytic_tol = model.analytic_tol(t_max)
@@ -717,6 +738,10 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
         channels=channels,
         closed_channels=closed,
         t_max=t_max,
+        t_grid=t_grid,
+        occupations=occupation_counts(system),
+        rk4_substeps=_rk4_substeps(dyn, max(system.omega), t_grid[1] - t_grid[0])
+        if cfg.engine in ("rk4", "all") else None,
         omega_osc=omega_osc,
         analytic_tol=analytic_tol,
         summary_extra=model.extra,
@@ -728,26 +753,27 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
 # engines
 
 
-def _exponential_channels(prep: _Prepared, t_grid, occupations) -> dict:
-    args = prep.dyn, prep.psi0
+def _exponential_channels(prep: _Prepared) -> dict:
+    args, t_grid = (prep.dyn, prep.psi0), prep.t_grid
     # survival_probability repeats p_survival bit for bit; it is called only as
     # test_perfbench.py::test_tracer_wraps_every_binding_and_restores pins 2 calls
     return {
-        **evolve_probabilities(*args, prep.channels, t_grid, occupations),
+        **evolve_probabilities(*args, prep.channels, t_grid, prep.occupations),
         **survival_probability(*args, t_grid),
     }
 
 
-def _standard_channels(prep: _Prepared, t_grid, occupations) -> dict:
+def _standard_channels(prep: _Prepared) -> dict:
     """Same channels under the unmodified propagator exp(-i H t).
 
     H is diagonal in the Fock basis, so each amplitude only turns its phase:
     only p_survival = |sum_j |psi0_j|^2 exp(-i E_j t)|^2 moves, summed by
     tiles of the rows with no BLAS.
     """
-    amps = prep.psi0.amplitudes
+    amps, t_grid = prep.psi0.amplitudes, prep.t_grid
     rows = np.flatnonzero(amps)
-    out = read_channels(rows, None, amps[rows, None], amps, prep.channels, occupations)
+    out = read_channels(rows, None, amps[rows, None], amps, prep.channels,
+                        prep.occupations)
     out = {name: np.broadcast_to(v, t_grid.shape) for name, v in out.items()}
     weights, energies = np.abs(amps[rows]) ** 2, prep.dyn.energies[rows]
     overlap = sum(_row_sum(weights[k], np.exp(-1j * np.outer(energies[k], t_grid)))
@@ -765,23 +791,16 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
     """
     cfg = cfg.validated()
     prep = _assemble(cfg)
-    t_grid = np.linspace(0.0, prep.t_max, cfg.steps)
-    occupations = occupation_counts(prep.system)
-
-    engine = cfg.engine
+    t_grid, engine = prep.t_grid, cfg.engine
     routes = {}
     if engine in ("exponential", "all"):
-        routes["exponential"] = _exponential_channels(prep, t_grid, occupations)
+        routes["exponential"] = _exponential_channels(prep)
     if engine in ("analytic", "all") and prep.closed_channels is not None:
         routes["analytic"] = prep.closed_channels(t_grid)
     if engine in ("rk4", "all"):
         routes["rk4"] = rk4_expectation_series(
-            prep.dyn,
-            prep.psi0,
-            prep.channels,
-            t_grid,
-            occupations,
-            omega_max=max(prep.system.omega),
+            prep.dyn, prep.psi0, prep.channels, t_grid, prep.occupations,
+            substeps=prep.rk4_substeps,
         )
     primary = routes["exponential" if engine == "all" else engine]
 
@@ -799,7 +818,7 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
     partitions = [tuple(prob_names)]
 
     if cfg.comparison:
-        std = _standard_channels(prep, t_grid, occupations)
+        std = _standard_channels(prep)
         channels.update(std)
         probability_channels |= {"std_" + n for n in prob_names + ["p_survival"]}
         partitions.append(tuple("std_" + n for n in prob_names))

@@ -4,16 +4,19 @@ Dense density-matrix measures, kept as oracles of the amplitude-based ones
 in ``ergodyn.measures`` and for the mixed-state measure tests; the closed
 4x4 dyad-vector system on the ground/excited plane, an oracle of the
 exponential route; dense RK4 on the N x N generator, the oracle of the
-subspace RK4 route; a first-order Dyson solver, the oracle of the
-perturbative interferometer formula; the row-by-row ``'%.17g'`` CSV
-formatter, the oracle of the block kernel in ``ergodyn.emit``; and the
-channel-by-channel readout, the oracle of ``dynamics.read_channels``.
+subspace RK4 route, and the batched doubling of its power stack; a
+first-order Dyson solver, the oracle of the perturbative interferometer
+formula; the row-by-row ``'%.17g'`` CSV formatter, the oracle of the block
+kernel in ``ergodyn.emit``, and the whole-CSV string built from that
+kernel; and the channel-by-channel readout, the oracle of
+``dynamics.read_channels``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ergodyn.emit import _csv_blocks
 from ergodyn.errors import GridError
 from ergodyn.fock import Ket, ModeSystem
 from ergodyn.measures import BipartitionSpec
@@ -128,6 +131,17 @@ def dense_rk4_states(dyn, psi0: Ket, t_grid, substeps: int) -> np.ndarray:
     return states
 
 
+def batched_rk4_stack(power: np.ndarray, count: int) -> np.ndarray:
+    """The powers power^0 ... power^(count-1), stacked by doubling with one
+    batched product per doubling: the stack so far times the current power,
+    appended by concatenation, which may compute rows past ``count``."""
+    stack = np.eye(len(power))[None]
+    while len(stack) < count:
+        stack = np.concatenate([stack, stack @ power])
+        power = power @ power
+    return stack[:count]
+
+
 def first_order_dyson(m0, m1, eps: float, t_grid) -> np.ndarray:
     """First-order perturbative propagator for d/dt X = -i (M0 + eps M1) X.
 
@@ -184,6 +198,11 @@ def per_value_csv(series) -> str:
     row = ",".join(["%.17g"] * table.shape[1])
     lines = [",".join(["t"] + names)] + [row % tuple(r.tolist()) for r in table]
     return "\n".join(lines) + "\n"
+
+
+def format_series_csv(series) -> str:
+    """The series CSV as one string, joined from the block kernel's bytes."""
+    return b"".join(_csv_blocks(series)).decode("utf-8")
 
 
 def read_channels_per_channel(rows, states, psi0, channels, occupations=None):

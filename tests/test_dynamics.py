@@ -1,9 +1,12 @@
+import functools
 import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,6 +23,7 @@ from ergodyn.dynamics import (
     TimeSeries,
     _projected_block,
     _reduced_states,
+    _rk4_flow,
     _tiles,
     effective_dynamics,
     effective_hamiltonian,
@@ -47,8 +51,15 @@ from ergodyn.oracles import (
     vacuum_ket,
 )
 from ergodyn.passive import decompose_against_ground
-from ergodyn.scenarios import TOL_RK4, _assemble, load_config, run_scenario
+from ergodyn.scenarios import (
+    TOL_RK4,
+    _assemble,
+    _rk4_substeps,
+    load_config,
+    run_scenario,
+)
 from oracles import (
+    batched_rk4_stack,
     block_probabilities,
     dense_rk4_states,
     first_order_dyson,
@@ -331,8 +342,14 @@ def test_rk4_matches_closed_form_at_default_step():
     theta, gap = np.pi / 4, 1.0
     sys_, psi, dyn = two_level_setup(theta, gap)
     t = np.linspace(0.0, 2 * np.pi / (np.sin(theta) * gap), 201)
+    # the same register and grid as a scenario, which chooses the step
+    prep = _assemble(load_config(None, {
+        "n": 1, "omega": (gap,), "theta": theta, "cutoffs": (1,), "t_max": t[-1],
+        "steps": t.size,
+    }))
+    np.testing.assert_array_equal(prep.t_grid, t)
     got = rk4_expectation_series(
-        dyn, psi, {"pe": [flat_index(sys_, (1,))]}, t, omega_max=gap,
+        dyn, psi, {"pe": [flat_index(sys_, (1,))]}, t, substeps=prep.rk4_substeps,
     )
     _, expected = two_level_probabilities(theta, gap, t)
     assert np.abs(got["pe"] - expected).max() < 1e-8
@@ -343,7 +360,7 @@ def test_rk4_matches_closed_form_at_default_step():
 def test_rk4_rejects_nonuniform_grid():
     _, psi, dyn = two_level_setup(0.3, 1.0)
     with pytest.raises(GridError):
-        rk4_expectation_series(dyn, psi, {"p0": [0]}, [0.0, 0.1, 0.3])
+        rk4_expectation_series(dyn, psi, {"p0": [0]}, [0.0, 0.1, 0.3], substeps=1)
 
 
 def test_rk4_rejects_a_grid_not_starting_at_zero():
@@ -358,7 +375,7 @@ def test_rk4_rejects_a_grid_not_starting_at_zero():
     series = evolve_probabilities(dyn, psi, channels, t)
     assert series["p_1"][[0, -1]] == pytest.approx([0.825, 1.0], abs=1e-3)
     with pytest.raises(GridError, match="start at t = 0"):
-        rk4_expectation_series(dyn, psi, channels, t)
+        rk4_expectation_series(dyn, psi, channels, t, substeps=1)
 
 
 def test_rk4_rejects_overly_coarse_step():
@@ -368,6 +385,52 @@ def test_rk4_rejects_overly_coarse_step():
             dyn, psi, {"pe": [flat_index(sys_, (1,))]},
             np.linspace(0.0, 40.0, 5), substeps=1,
         )
+
+
+@pytest.mark.parametrize("count", [2, 3, 5, 501, 4097, 20001])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rk4_power_stack_matches_the_batched_doubling_bit_for_bit(k, count):
+    # rows [n, 2n) are one 2-D product of rows [0, n) with S^n, written in
+    # place; the batched form makes one product per matrix
+    rng = np.random.default_rng(k)
+    a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    block = (a + a.conj().T) / 2.0
+    h, substeps = 0.01, 7
+    _, got = _rk4_flow(SimpleNamespace(block=block, basis=None), np.zeros(count),
+                       h, substeps)
+    x, eye = -1j * h * block, np.eye(k)
+    step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
+    power = np.linalg.matrix_power(step, substeps)
+    assert np.array_equal(got, batched_rk4_stack(power, count) - eye)
+
+
+def test_powers_that_overflow_inside_the_doubling_are_refused_at_any_thread_count():
+    # h lambda = +-3 at one substep: |P(-3i)| = 1.505, so S^k leaves the float
+    # range near k = 1740, inside the doubling over 4001 samples, where OpenBLAS
+    # may split a product across threads that keep their overflow flags
+    script = (
+        "import types\n"
+        "import numpy as np\n"
+        "from ergodyn.dynamics import _rk4_flow\n"
+        "from ergodyn.errors import RefinementError\n"
+        "f = types.SimpleNamespace(block=np.diag([3.0, -3.0]), basis=None)\n"
+        "try:\n"
+        "    _rk4_flow(f, np.zeros(4001), 1.0, 1)\n"
+        "except RefinementError as exc:\n"
+        "    print(exc)\n"
+    )
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        assert done.stderr == ""
+        assert done.stdout == (
+            "RK4 step matrix overflows when powered to 1 substeps per sample; "
+            "shorten t_max or choose engine exponential\n"
+        ), threads
 
 
 def _random_custom_state(cutoffs, data):
@@ -402,12 +465,11 @@ def test_rk4_matches_exponential_on_random_custom_states(cutoffs, data):
     ns = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
     product = {"scenario": "multimode-product", "ns": ",".join(map(str, ns))}
     for cfg in (_random_custom_state(cutoffs, data), load_config(None, product)):
-        prep = _assemble(cfg)
-        occupations = occupation_counts(prep.system)
-        t = np.linspace(0.0, 6.0, 25)
+        prep = _assemble(replace(cfg, t_max=6.0, steps=25))
+        occupations, t = prep.occupations, prep.t_grid
         got = rk4_expectation_series(
             prep.dyn, prep.psi0, prep.channels, t, occupations,
-            omega_max=max(prep.system.omega),
+            substeps=prep.rk4_substeps,
         )
         # the exponential route alone gives the keys of the RK4 route, and
         # survival_probability the same p_survival bit for bit
@@ -483,9 +545,8 @@ def _check_subspace_rk4_against_dense(cfg, substeps):
     ids=["single-factor", "product"],
 )
 def test_rk4_route_calls_no_eigensolver(monkeypatch, overrides):
-    prep = _assemble(load_config(None, overrides))
-    occupations = occupation_counts(prep.system)
-    t = np.linspace(0.0, 4.0, 17)
+    prep = _assemble(load_config(None, {**overrides, "t_max": 4.0, "steps": 17}))
+    occupations, t = prep.occupations, prep.t_grid
 
     def refuse(*args, **kwargs):
         raise AssertionError("the RK4 route called an eigensolver")
@@ -495,7 +556,7 @@ def test_rk4_route_calls_no_eigensolver(monkeypatch, overrides):
             patch.setattr(np.linalg, name, refuse)
         got = rk4_expectation_series(
             prep.dyn, prep.psi0, prep.channels, t, occupations,
-            omega_max=max(prep.system.omega),
+            substeps=prep.rk4_substeps,
         )
         with pytest.raises(AssertionError, match="eigensolver"):
             evolve_probabilities(prep.dyn, prep.psi0, prep.channels, t)
@@ -824,7 +885,8 @@ def test_product_generator_moves_an_entangled_state_on_its_rows(n, m, cutoffs):
         bound = 1e-12 * np.maximum(1.0, np.abs(values))
         assert np.all(np.abs(got[name] - values) <= bound), name
     rk4 = rk4_expectation_series(
-        dyn, psi0, channels, t, occupations, omega_max=max(omega)
+        dyn, psi0, channels, t, occupations,
+        substeps=_rk4_substeps(dyn, max(omega), t[1] - t[0]),
     )
     for name, values in expected.items():
         assert np.abs(rk4[name] - values).max() <= TOL_RK4, name
@@ -887,7 +949,10 @@ def test_basis_coefficient_readout_matches_the_dense_oracle(kind, route, data):
     tile = data.draw(st.integers(1, dim * t.size), label="tile entries")
     with mock.patch.object(dynamics, "_TILE_ENTRIES", tile):
         if route == "rk4":
-            got = rk4_expectation_series(dyn, psi0, channels, t, occupations)
+            got = rk4_expectation_series(
+                dyn, psi0, channels, t, occupations,
+                substeps=_rk4_substeps(dyn, 0.0, t[1] - t[0]),
+            )
         else:
             got = evolve_probabilities(dyn, psi0, channels, t, occupations)
     expected = read_channels_per_channel(
@@ -984,7 +1049,11 @@ def test_populations_keep_their_bits_at_every_tile_size(route):
     channels = {f"p_{k}": [k] for k in range(sys_.dimension)}
     channels["p_pairs"] = np.arange(0, sys_.dimension, 7)
     t = np.linspace(0.0, 6.0, 301)
-    evolve = rk4_expectation_series if route == "rk4" else evolve_probabilities
+    evolve = evolve_probabilities
+    if route == "rk4":
+        evolve = functools.partial(
+            rk4_expectation_series, substeps=_rk4_substeps(dyn, 0.0, t[1] - t[0])
+        )
     base = evolve(dyn, psi0, channels, t)
     # the B C path: a basis, not the states on the rows
     assert _reduced_states(dyn, psi0.amplitudes, t)[1] is not None

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ergodyn import emit
 from ergodyn.dynamics import TimeSeries
-from ergodyn.emit import BLOCK_CELLS, format_series_csv, write_series_csv
-from oracles import per_value_csv
+from ergodyn.emit import BLOCK_CELLS, write_series_csv
+from oracles import format_series_csv, per_value_csv
 
 
 def _series(values, columns: int) -> TimeSeries:

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from ergodyn.errors import DegenerateSpectrumError
 from ergodyn.fock import Ket, ModeSystem, superposition
 from ergodyn.oracles import (
+    DegenerateSpectrumError,
     DensityOperator,
     build_passive_unitary,
     fock_ket,

@@ -21,12 +21,16 @@ from ergodyn import cli, dynamics, scenarios
 from ergodyn.cli import main
 from ergodyn.dynamics import TimeSeries
 from ergodyn.emit import (
-    format_series_csv,
     format_summary_json,
     format_sweep_csv,
     write_series_csv,
 )
-from ergodyn.errors import ConfigError, EngineDisagreementError, RefinementError
+from ergodyn.errors import (
+    ConfigError,
+    EngineDisagreementError,
+    ErgodynError,
+    RefinementError,
+)
 from ergodyn.fock import Ket
 from ergodyn.scenarios import (
     _SCHEMA,
@@ -41,7 +45,7 @@ from ergodyn.scenarios import (
     run_scenario,
     sweep,
 )
-from oracles import per_value_csv
+from oracles import format_series_csv, per_value_csv
 
 
 def run(name, **overrides):
@@ -683,6 +687,53 @@ def test_cli_never_leaves_a_traceback(case):
         assert named and named.group(1) in FIELDS, err.getvalue()
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    # a scenario at its defaults, or with random keys set
+    case=st.one_of(
+        st.sampled_from(sorted(SCENARIOS)).map(lambda n: (n, BASE.get(n, {}))),
+        _override_sets(),
+    ),
+    engine=st.sampled_from(scenarios.ENGINES),
+    steps=st.integers(2, 101),
+    t_max=st.sampled_from([None, 0.5, 7.0, 1e6]),
+    comparison=st.booleans(),
+)
+def test_a_planned_run_raises_no_config_error_and_steps_rk4_as_planned(
+    case, engine, steps, t_max, comparison
+):
+    # _assemble plans the run: once it returns, every ConfigError is behind,
+    # and RK4 runs at the substeps of the plan
+    name, overrides = case
+    overrides = {**overrides, "scenario": name, "engine": engine, "steps": steps,
+                 "t_max": t_max, "comparison": comparison}
+    try:
+        cfg = load_config(None, overrides)
+        prep = _assemble(cfg)
+    except ConfigError:
+        return
+    runs_rk4 = engine in ("rk4", "all")
+    assert (prep.rk4_substeps is not None) == runs_rk4
+    np.testing.assert_array_equal(prep.t_grid, np.linspace(0.0, prep.t_max, steps))
+    calls = []
+
+    def rk4(*args, substeps):
+        calls.append(substeps)
+        return dynamics.rk4_expectation_series(*args, substeps=substeps)
+
+    with mock.patch.object(scenarios, "rk4_expectation_series", rk4):
+        try:
+            run_scenario(cfg, strict=False)
+            finished = True
+        except ConfigError:
+            raise
+        except (ErgodynError, ValueError):
+            # a refused RK4 state or a failed gate, not the plan
+            finished = False
+    assert calls in ([], [prep.rk4_substeps])
+    assert not finished or len(calls) == runs_rk4
+
+
 def test_cli_compare_adds_channels(tmp_path):
     csv_path = tmp_path / "cmp.csv"
     code = main(
@@ -824,16 +875,20 @@ def test_cli_runs_a_ground_level_whose_square_overflows(capsys):
 )
 def test_compare_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
     # OpenBLAS splits a gemv, or a sum over a long axis, across its threads;
-    # no readout sum may take that path
+    # no readout sum may take that path, and the RK4 power stack rounds the
+    # same when its long products are split
     amps = np.random.default_rng(15).normal(size=1331)
     runs = {
-        "custom-2-2": ["--scenario", "custom-state", "--cutoffs", "2,2",
+        "custom-2-2": ["compare", "--scenario", "custom-state", "--cutoffs", "2,2",
                        "--omega", "1.0,1.4", "--amplitudes", "1,1,1,1,1,1,1,1,1",
                        "--engine", "exponential", "--steps", "20001"],
-        "full-support": ["--scenario", "custom-state", "--cutoffs", "10,10,10",
-                         "--omega", "1.0,1.3,1.7",
+        "full-support": ["compare", "--scenario", "custom-state",
+                         "--cutoffs", "10,10,10", "--omega", "1.0,1.3,1.7",
                          "--amplitudes=" + ",".join(map(repr, amps.tolist())),
                          "--engine", "all"],
+        "single-mode-rk4": ["run", "--engine", "rk4", "--steps", "20001"],
+        "product-rk4": ["run", "--scenario", "multimode-product", "--engine", "rk4",
+                        "--steps", "20001"],
     }
     src = os.path.dirname(os.path.dirname(ergodyn.__file__))
     for name, args in runs.items():
@@ -842,7 +897,7 @@ def test_compare_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
             env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
             paths = tmp_path / f"{name}-{threads}.csv", tmp_path / f"{name}-{threads}.json"
             done = subprocess.run(
-                [sys.executable, "-m", "ergodyn", "compare", *args,
+                [sys.executable, "-m", "ergodyn", *args,
                  "--csv", str(paths[0]), "--json", str(paths[1])],
                 env=env, capture_output=True, text=True, timeout=300,
             )
