@@ -11,6 +11,7 @@ All formulas use hbar = 1; energies are angular frequencies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +86,15 @@ def product_recurrence_possible(ns, omegas, base_omega: float, tol=1e-9) -> bool
 
     True iff every n_k * omega_k / sqrt(2) is an odd positive multiple of
     ``base_omega`` (within ``tol``), so all single-mode oscillations peak
-    simultaneously.
+    simultaneously.  A ratio past the float range is not: every double past
+    2^53 is even.
     """
     if base_omega <= 0:
         raise ValueError("base frequency must be positive")
     for n, w in zip(ns, omegas, strict=True):
-        ratio = n * w / (np.sqrt(2.0) * base_omega)
+        ratio = float(n * w) / (math.sqrt(2.0) * base_omega)
+        if not math.isfinite(ratio):
+            return False
         nearest = round(ratio)
         if abs(ratio - nearest) > tol or nearest < 1 or nearest % 2 == 0:
             return False

@@ -604,17 +604,23 @@ def dynamics_theta(dyn: EffectiveDynamics) -> float:
     return float(math.asin(min(max(dyn.mixing_sine, 0.0), 1.0)))
 
 
-def _rk4_substeps(dyn: EffectiveDynamics, omega_max: float, dt: float) -> int:
+def _rk4_substeps(dyn: EffectiveDynamics, omega_max: float, dt: float,
+                  key: str = "t_max") -> int:
     """RK4 substeps per grid step ``dt``: a step of at most one
     RK4_STEPS_PER_PERIOD-th of the fastest period, of |sin(theta) gap| or
-    ``omega_max``, or of the largest block entry when neither oscillates."""
+    ``omega_max``, or of the largest block entry when neither oscillates.  A
+    count past the float range is a ConfigError of ``key``."""
     omega_osc = max(abs(dyn.mixing_sine * dyn.energy_gap), float(omega_max))
     if omega_osc <= 0.0:
         # static generator: any step works; normalize on the largest block entry
         scale = max(np.abs(f.block).max() for f in dyn.factors)
         omega_osc = scale if scale > 0 else 1.0
-    step = (2.0 * np.pi / omega_osc) / RK4_STEPS_PER_PERIOD
-    return max(1, int(np.ceil(dt / step)))
+    step = (2.0 * math.pi / float(omega_osc)) / RK4_STEPS_PER_PERIOD
+    count = float(dt) / step  # Python floats: past the range, inf and no warning
+    if not math.isfinite(count):
+        raise ConfigError(
+            key, f"grid step {dt:g} takes RK4 substeps past the float range")
+    return max(1, math.ceil(count))
 
 
 def _assemble(cfg: ScenarioConfig) -> _Prepared:
@@ -660,6 +666,8 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
     if not math.isfinite(4.0 * sum(top)):
         key = "E0" if top.index(max(top)) == len(top) - 1 else omega_key
         raise ConfigError(key, f"top energy {sum(top):g} leaves the float range")
+    # the default horizon is set by the frequencies
+    horizon_key = "t_max" if cfg.t_max is not None else omega_key
 
     def horizon(omega_osc):
         # t_max, or else two periods of omega_osc, or 10 if nothing oscillates
@@ -667,9 +675,8 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
         if t_max is None:
             t_max = 4 * math.pi / omega_osc if omega_osc > 0 else 10.0
         if not math.isfinite(4.0 * sum(top) * t_max):
-            # the default horizon is set by the frequencies
-            key = "t_max" if cfg.t_max is not None else omega_key
-            raise ConfigError(key, f"{t_max:g} takes phases E t past the float range")
+            raise ConfigError(horizon_key,
+                              f"{t_max:g} takes phases E t past the float range")
         return t_max
 
     # checked before the build unless the default horizon needs the generator
@@ -740,8 +747,9 @@ def _assemble(cfg: ScenarioConfig) -> _Prepared:
         t_max=t_max,
         t_grid=t_grid,
         occupations=occupation_counts(system),
-        rk4_substeps=_rk4_substeps(dyn, max(system.omega), t_grid[1] - t_grid[0])
-        if cfg.engine in ("rk4", "all") else None,
+        rk4_substeps=_rk4_substeps(
+            dyn, max(system.omega), t_grid[1] - t_grid[0], horizon_key
+        ) if cfg.engine in ("rk4", "all") else None,
         omega_osc=omega_osc,
         analytic_tol=analytic_tol,
         summary_extra=model.extra,

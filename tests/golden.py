@@ -81,6 +81,8 @@ REFUSALS = (
     "run --t_max 1e300 --steps 3",
     "run --engine rk4 --t_max 1e300 --steps 3",
     "run --engine rk4 --t_max 1e6 --steps 2",
+    "run --omega 1e300 --n 1 --t_max 1e6 --steps 2",
+    "run --scenario two-mode-separable --omega_b 1e-306 --steps 3",
     "run --scenario custom-state --cutoffs 2 --omega 1 --amplitudes 1,1,1 --E0 1.5",
     "run --scenario custom-state --cutoffs 3 --omega 1 --amplitudes 0,0,0,0",
     "run --scenario custom-state --cutoffs 3 --omega 1 --amplitudes 1,2",

@@ -182,6 +182,14 @@ def test_recurrence_incommensurate_pair():
     assert not product_recurrence_possible([2], [np.sqrt(2.0)], 1.0)  # even
 
 
+def test_recurrence_ratio_past_the_float_range_is_not_periodic():
+    # n omega / (sqrt(2) base) is inf here, with no warning: no odd multiple
+    # of base reaches it (every finite double past 2^53 is even already)
+    assert not product_recurrence_possible([2], [1e300], 1e-25)
+    assert not product_recurrence_possible([2], [np.float64(1e300)], 1e-25)
+    assert not product_recurrence_possible([1], [np.sqrt(2.0) * 2.0**60], 1.0)
+
+
 def test_recurrence_against_simulation():
     # two modes with n_k omega_k / sqrt(2) = odd * base: recurrence at
     # t = pi / (2 base); an incommensurate detuning never recurs

@@ -46,12 +46,12 @@ PANEL = {
 }
 
 
-def _substituted(obj, old: str, new: str):
-    """``obj`` (a function or class of ``dynamics``) with ``old`` replaced by
+def _substituted(module, obj, old: str, new: str):
+    """``obj`` (a function or class of ``module``) with ``old`` replaced by
     ``new`` in its source, compiled in a copy of the module's namespace."""
     source = textwrap.dedent(inspect.getsource(obj))
     assert source.count(old) == 1, f"{obj.__name__}: {old!r} x {source.count(old)}"
-    namespace = dict(vars(dynamics))
+    namespace = dict(vars(module))
     code = compile(source.replace(old, new), inspect.getsourcefile(obj), "exec")
     exec(code, namespace)
     return namespace[obj.__name__]
@@ -59,7 +59,7 @@ def _substituted(obj, old: str, new: str):
 
 def _factor(old: str, new: str):
     return lambda: mock.patch.object(
-        dynamics, "_Factor", _substituted(dynamics._Factor, old, new)
+        dynamics, "_Factor", _substituted(dynamics, dynamics._Factor, old, new)
     )
 
 
@@ -75,10 +75,11 @@ MUTANTS = {
     "rank-tol-1e-3": lambda: mock.patch.object(dynamics, "RANK_TOL", 1e-3),
     "row-shift": lambda: mock.patch.object(
         dynamics, "_reduced_states",
-        _substituted(dynamics._reduced_states, "p = p[rows]", "p = p[rows - 1]"),
+        _substituted(dynamics, dynamics._reduced_states, "p = p[rows]",
+                     "p = p[rows - 1]"),
     ),
     "row-sum-conj": lambda: mock.patch.object(
-        dynamics, "_row_sum", _substituted(dynamics._row_sum, "a.conj()", "a")
+        dynamics, "_row_sum", _substituted(dynamics, dynamics._row_sum, "a.conj()", "a")
     ),
 }
 

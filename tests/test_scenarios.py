@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ergodyn
@@ -615,6 +615,23 @@ def test_refusals_come_before_the_register_is_built(args, field, message, capsys
     assert capsys.readouterr().err == f"configuration error in {field}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("engine", ["rk4", "all"])
+@pytest.mark.parametrize("args, field", [
+    # a set horizon: the count is dt omega 2000 / (2 pi), past 1e308
+    (["--omega", "1e300", "--n", "1", "--t_max", "1e6", "--steps", "2"], "t_max"),
+    # a default horizon, set by the slow mode; named as the phase check names it
+    (["--scenario", "two-mode-separable", "--omega_b", "1e-306", "--steps", "3"],
+     "omega_a"),
+])
+def test_rk4_substeps_past_the_float_range_are_refused(command, engine, args, field,
+                                                       capsys):
+    assert main([command, "--engine", engine, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error in {field}: grid step "), err
+    assert err.endswith(" takes RK4 substeps past the float range\n"), err
+
+
 #: a valid base config for the scenarios that need explicit keys
 BASE = {"custom-state": {"cutoffs": "1", "omega": "1.0", "amplitudes": "1,1"}}
 
@@ -651,17 +668,26 @@ def test_every_bad_scenario_key_is_named(name, key, value, capsys):
 FIELDS = {f.name for f in fields(ScenarioConfig)}
 INTS = st.integers(-2, 6).map(str)
 FREQUENCIES = st.sampled_from(["0", "-1", "1e6", "0.3", "1", "1.7", "2.5"])
+#: the values above and signed powers of ten from 1e-300 to 1e300; drawn
+#: for the frequencies, E0 and t_max when the draws are wide
+DECADES = st.one_of(
+    FREQUENCIES,
+    st.builds("{}1e{}".format, st.sampled_from(["", "-"]), st.integers(-300, 300)),
+)
 
 
 @st.composite
-def _override_sets(draw):
+def _override_sets(draw, wide=False):
     """A scenario with a random subset of the keys it reads set to random
-    integers, frequencies or lists of one to three of them."""
+    integers, frequencies or lists of one to three of them; ``wide`` draws
+    the frequencies and E0 from DECADES."""
     name = draw(st.sampled_from(sorted(SCENARIOS)))
     overrides = dict(BASE.get(name, {}))
     for key in draw(st.lists(st.sampled_from(list(SCENARIOS[name].keys)), unique=True)):
         kind, is_list = _SCHEMA[key]
-        entry = INTS if kind is int else FREQUENCIES if kind is float else None
+        floats = DECADES if wide and key.startswith(("omega", "base_omega", "E0")) \
+            else FREQUENCIES
+        entry = INTS if kind is int else floats if kind is float else None
         if entry is None:
             continue
         overrides[key] = (
@@ -672,19 +698,39 @@ def _override_sets(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_override_sets())
-def test_cli_never_leaves_a_traceback(case):
+@given(
+    command=st.sampled_from(["run", "compare", "sweep"]),
+    engine=st.sampled_from(scenarios.ENGINES),
+    case=_override_sets(wide=True),
+    t_max=st.one_of(st.none(), DECADES),
+    steps=st.sampled_from([2, 3, 11]),
+)
+# the RK4 substep count past the float range, at a set and a default horizon
+@example(command="run", engine="all", case=("single-mode-superposition", {
+    "omega": "1e300", "n": "1"}), t_max="1e6", steps=2)
+@example(command="run", engine="all", case=("two-mode-separable", {
+    "omega_b": "1e-306"}), t_max=None, steps=3)
+# an all-excited recurrence ratio past the float range
+@example(command="run", engine="exponential", case=("two-mode-separable", {
+    "omega_a": "1e300", "base_omega": "1e-25"}), t_max=None, steps=3)
+def test_cli_never_leaves_a_traceback(command, engine, case, t_max, steps):
     name, overrides = case
+    if t_max is not None:
+        overrides = {**overrides, "t_max": t_max}
     args = [f"--{key}={value}" for key, value in overrides.items()]
+    if command == "sweep":
+        args += ["--parameter", "steps", "--values", str(steps)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["run", "--engine", "exponential", "--steps", "11",
+        code = main([command, "--engine", engine, "--steps", str(steps),
                      "--scenario", name, *args])
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if code == 2:
-        named = re.match(r"configuration error in (\w+):", err.getvalue())
-        assert named and named.group(1) in FIELDS, err.getvalue()
+        # a refused config names its key; a refused RK4 state names t_max
+        named = re.match(r"configuration error in (\w+):|error: RK4 .*(t_max)",
+                         err.getvalue())
+        assert named and (named.group(1) or named.group(2)) in FIELDS, err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
