@@ -22,7 +22,7 @@ from . import closed_forms as cf
 from . import dynamics, oracles
 from .errors import ErgodynError
 from .fock import Ket, ModeSystem, superposition
-from .measures import BipartitionSpec, l1_coherence, negativity
+from .measures import l1_coherence, negativity
 from .passive import decompose_against_ground
 from .scenarios import _assemble, load_config, run_scenario
 
@@ -131,13 +131,13 @@ def _rate(series):
 
 def criterion_09_measures_and_rates():
     """Coherence, negativity and the coherence form of the oscillation rate."""
-    sys_, part = ModeSystem((1.0, 1.5), (2, 3)), BipartitionSpec((0,), (1,))
+    sys_ = ModeSystem((1.0, 1.5), (2, 3))
     worst_c, worst_n = 0.0, 0.0
     for theta in np.linspace(0.0, math.pi / 2, 9):
         psi = superposition(sys_, {(0, 0): math.cos(theta), (2, 3): math.sin(theta)})
         c = abs(math.sin(2 * theta))
         worst_c = max(worst_c, abs(l1_coherence(psi) - c))
-        worst_n = max(worst_n, abs(negativity(psi, sys_, part) - 0.5 * c))
+        worst_n = max(worst_n, abs(negativity(psi, sys_) - 0.5 * c))
 
     def rate_gap(theta, gap=1.7):
         c = abs(math.sin(2 * theta))

@@ -58,17 +58,7 @@ def _run_common(args: argparse.Namespace, force_comparison: bool) -> int:
     if force_comparison:
         overrides["comparison"] = "true"
     cfg = load_config(args.config, overrides)
-    try:
-        series, summary = run_scenario(cfg, strict=True)
-    except EngineDisagreementError as exc:
-        print(f"engine disagreement: {exc}", file=sys.stderr)
-        for name, value in exc.residuals.items():
-            channel, k, t = exc.peaks[name]
-            print(
-                f"  {name}: {value:.6e} (peak in {channel} at t[{k}] = {t:.17g})",
-                file=sys.stderr,
-            )
-        return EXIT_ENGINES
+    series, summary = run_scenario(cfg, strict=True)
     if args.csv:
         write_series_csv(series, args.csv)
     if args.json:
@@ -155,6 +145,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error in {exc.field}: {exc.message}", file=sys.stderr)
         return EXIT_CONFIG
+    except EngineDisagreementError as exc:
+        print(f"engine disagreement: {exc}", file=sys.stderr)
+        for name, value in exc.residuals.items():
+            channel, k, t = exc.peaks[name]
+            print(
+                f"  {name}: {value:.6e} (peak in {channel} at t[{k}] = {t:.17g})",
+                file=sys.stderr,
+            )
+        return EXIT_ENGINES
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,27 +12,8 @@ All formulas use hbar = 1; energies are angular frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-__all__ = [
-    "two_level_probabilities",
-    "two_level_survival",
-    "balanced_superposition_probabilities",
-    "balanced_superposition_number",
-    "separable_pair_probabilities",
-    "product_recurrence_possible",
-    "noon_probabilities",
-    "MoonParams",
-    "moon_degenerate_probabilities",
-    "moon_perturbative_probabilities",
-    "detuning_response",
-    "GravityScenario",
-    "gravitational_probabilities",
-    "oscillation_frequency",
-    "oscillation_frequency_from_coherence",
-]
 
 
 def two_level_probabilities(theta: float, energy_gap: float, t):
@@ -55,61 +36,39 @@ def two_level_survival(theta: float, energy_gap: float, t):
     return 1.0 - np.cos(theta) ** 2 * np.sin(np.sin(theta) * energy_gap * t) ** 2
 
 
-def balanced_superposition_probabilities(n: int, omega: float, e0: float, t):
-    """Single-mode balanced case (|0> + |n>)/sqrt(2): vacuum and |n> weights."""
+def balanced_superposition_probabilities(gap: float, t):
+    """Balanced case (|0> + |e>)/sqrt(2), |e> an eigenstate ``gap`` above the
+    vacuum: vacuum and |e> weights.  One mode with |e> = |n> has gap
+    n omega - E0; the pair (|00> + |nm>)/sqrt(2) has the collective gap
+    n omega_a + m omega_b."""
     t = np.asarray(t, dtype=float)
-    osc = np.sin((n * omega - e0) * t / np.sqrt(2.0)) ** 2
+    osc = np.sin(gap * t / np.sqrt(2.0)) ** 2
     return 0.5 * (1.0 - osc), 0.5 * (1.0 + osc)
 
 
-def balanced_superposition_number(n: int, omega: float, e0: float, t):
+def balanced_superposition_number(n: int, gap: float, t):
     """Occupation expectation for the balanced single-mode superposition."""
     t = np.asarray(t, dtype=float)
-    osc = np.sin((n * omega - e0) * t / np.sqrt(2.0)) ** 2
+    osc = np.sin(gap * t / np.sqrt(2.0)) ** 2
     return 0.5 * n * (1.0 + osc)
 
 
-def separable_pair_probabilities(n: int, m: int, omega_a: float, omega_b: float, t):
-    """Joint weights for a product of two balanced superpositions.
-
-    Returns (p_00, p_n0, p_0m, p_nm); each factorizes into the single-mode
-    results and the four add up to one exactly.
-    """
-    t = np.asarray(t, dtype=float)
-    pa0, pan = balanced_superposition_probabilities(n, omega_a, 0.0, t)
-    pb0, pbm = balanced_superposition_probabilities(m, omega_b, 0.0, t)
-    return pa0 * pb0, pan * pb0, pa0 * pbm, pan * pbm
-
-
-def product_recurrence_possible(ns, omegas, base_omega: float, tol=1e-9) -> bool:
+def product_recurrence_possible(ns, omegas, base_omega: float) -> bool:
     """Whether the all-excited weight of a multimode product can reach one.
 
     True iff every n_k * omega_k / sqrt(2) is an odd positive multiple of
-    ``base_omega`` (within ``tol``), so all single-mode oscillations peak
+    ``base_omega`` (within 1e-9), so all single-mode oscillations peak
     simultaneously.  A ratio past the float range is not: every double past
     2^53 is even.
     """
-    if base_omega <= 0:
-        raise ValueError("base frequency must be positive")
     for n, w in zip(ns, omegas, strict=True):
         ratio = float(n * w) / (math.sqrt(2.0) * base_omega)
         if not math.isfinite(ratio):
             return False
         nearest = round(ratio)
-        if abs(ratio - nearest) > tol or nearest < 1 or nearest % 2 == 0:
+        if abs(ratio - nearest) > 1e-9 or nearest < 1 or nearest % 2 == 0:
             return False
     return True
-
-
-def noon_probabilities(n: int, m: int, omega_a: float, omega_b: float, t):
-    """Entangled pair (|00> + |nm>)/sqrt(2): vacuum and doubly-excited weights.
-
-    The collective oscillation argument is (n omega_a + m omega_b) t / sqrt(2),
-    a single frequency set by the total excitation energy.
-    """
-    t = np.asarray(t, dtype=float)
-    osc = np.sin((n * omega_a + m * omega_b) * t / np.sqrt(2.0)) ** 2
-    return 0.5 * (1.0 - osc), 0.5 * (1.0 + osc)
 
 
 def detuning_response(phi: float) -> float:
@@ -117,58 +76,11 @@ def detuning_response(phi: float) -> float:
 
     The exact generator gives a deviation 4 * eps * sin^2(phi) cos^2(phi)
     * sin^2(N omega_a t / 2) at first order in the relative detuning; this
-    is the coefficient sin^2(phi) cos^2(phi).  See MoonParams.f_coefficient
-    for the quartic variant, which agrees with this one only at
+    is the coefficient sin^2(phi) cos^2(phi).  The quartic variant
+    sin^4(phi) cos^2(phi) (1 + 2 cos^2(phi)) agrees with it only at
     phi in {0, pi/4, pi/2}.
     """
     return float(np.sin(phi) ** 2 * np.cos(phi) ** 2)
-
-
-@dataclass(frozen=True)
-class MoonParams:
-    """Two-mode interferometer state cos(phi)|M,0> + sin(phi)|0,N>.
-
-    ``eps`` is the relative detuning (omega_b - omega_a)/omega_a and must be
-    small for the perturbative formulas to apply.
-    """
-
-    m_occ: int
-    n_occ: int
-    phi: float
-    omega_a: float
-    omega_b: float
-
-    def __post_init__(self):
-        if self.m_occ < 1 or self.n_occ < 1:
-            raise ValueError("occupations must be >= 1")
-        if self.omega_a <= 0 or self.omega_b <= 0:
-            raise ValueError("frequencies must be positive")
-        if abs(self.eps) >= 0.1:
-            raise ValueError(
-                f"relative detuning {self.eps:g} too large for perturbation theory"
-            )
-
-    @property
-    def eps(self) -> float:
-        return (self.omega_b - self.omega_a) / self.omega_a
-
-    @property
-    def f_coefficient(self) -> float:
-        """Quartic mixing coefficient sin^4(phi) cos^2(phi) (1 + 2 cos^2(phi))."""
-        s2 = np.sin(self.phi) ** 2
-        c2 = np.cos(self.phi) ** 2
-        return float(s2 * s2 * c2 * (1.0 + 2.0 * c2))
-
-    @classmethod
-    def from_detuning(cls, n_occ: int, phi: float, omega_a: float, eps: float):
-        """Equal-occupation interferometer with omega_b = (1 + eps) omega_a."""
-        return cls(
-            m_occ=n_occ,
-            n_occ=n_occ,
-            phi=phi,
-            omega_a=omega_a,
-            omega_b=omega_a * (1.0 + eps),
-        )
 
 
 def moon_degenerate_probabilities(phi: float):
@@ -180,8 +92,10 @@ def moon_degenerate_probabilities(phi: float):
     return float(np.cos(phi) ** 2), float(np.sin(phi) ** 2)
 
 
-def moon_perturbative_probabilities(params: MoonParams, t):
-    """First-order arm populations of a slightly detuned interferometer.
+def moon_perturbative_probabilities(n_occ: int, phi: float, omega_a: float,
+                                    omega_b: float, t):
+    """First-order arm populations of the slightly detuned interferometer
+    cos(phi)|N,0> + sin(phi)|0,N>, with eps = (omega_b - omega_a) / omega_a:
 
     p_first  = cos^2(phi) - 4 eps R(phi) sin^2(N omega_a t / 2)
     p_second = sin^2(phi) + 4 eps R(phi) sin^2(N omega_a t / 2)
@@ -191,51 +105,22 @@ def moon_perturbative_probabilities(params: MoonParams, t):
     the full evolution is O(eps^2).
     """
     t = np.asarray(t, dtype=float)
-    if params.m_occ != params.n_occ:
-        raise ValueError("perturbative form assumes equal occupations in both arms")
-    amp = 4.0 * params.eps * detuning_response(params.phi)
-    osc = np.sin(params.n_occ * params.omega_a * t / 2.0) ** 2
-    p_first = np.cos(params.phi) ** 2 - amp * osc
-    p_second = np.sin(params.phi) ** 2 + amp * osc
+    eps = (omega_b - omega_a) / omega_a
+    amp = 4.0 * eps * detuning_response(phi)
+    osc = np.sin(n_occ * omega_a * t / 2.0) ** 2
+    p_first = np.cos(phi) ** 2 - amp * osc
+    p_second = np.sin(phi) ** 2 + amp * osc
     return p_first, p_second
 
 
-@dataclass(frozen=True)
-class GravityScenario:
-    """Balanced interferometer with arms at different heights.
-
-    The upper arm, separated by ``path_length`` from the lower one at radius
-    ``earth_radius``, carries the redshifted frequency
-    omega(L) = (1 - (r_S / 2) L / r_E^2) * omega_0.
-    """
-
-    schwarzschild_radius: float
-    earth_radius: float
-    path_length: float
-    omega_0: float
-    n_occ: int = 1
-
-    def __post_init__(self):
-        if self.path_length >= 0.1 * self.earth_radius:
-            raise ValueError(
-                "path separation must satisfy L < 0.1 r_E for the first-order "
-                "redshift expansion"
-            )
-        if self.omega_0 <= 0 or self.n_occ < 1:
-            raise ValueError("omega_0 must be positive and n_occ >= 1")
-
-    @property
-    def relative_shift(self) -> float:
-        """(r_S / 2) L / r_E^2, the first-order fractional frequency shift."""
-        return 0.5 * self.schwarzschild_radius * self.path_length / self.earth_radius**2
-
-    @property
-    def asymmetry(self) -> float:
-        """Peak probability asymmetry r_S L / r_E^2 between the two arms."""
-        return self.schwarzschild_radius * self.path_length / self.earth_radius**2
+def gravitational_asymmetry(r_S: float, r_E: float, L: float) -> float:
+    """Peak probability asymmetry r_S L / r_E^2 between the two arms of an
+    interferometer whose arms are ``L`` apart at radius ``r_E``; the upper
+    arm carries the redshifted omega(L) = (1 - (r_S / 2) L / r_E^2) omega_0."""
+    return r_S * L / r_E**2
 
 
-def gravitational_probabilities(scenario: GravityScenario, t):
+def gravitational_probabilities(asymmetry: float, n_occ: int, omega_0: float, t):
     """Arm populations of the height-split interferometer to first order.
 
     p_upper = (1/2) [1 + (r_S L / r_E^2) sin^2(N omega_0 t / 2)]
@@ -245,9 +130,9 @@ def gravitational_probabilities(scenario: GravityScenario, t):
     eps = -(r_S / 2) L / r_E^2.
     """
     t = np.asarray(t, dtype=float)
-    osc = np.sin(scenario.n_occ * scenario.omega_0 * t / 2.0) ** 2
-    p_upper = 0.5 * (1.0 + scenario.asymmetry * osc)
-    p_lower = 0.5 * (1.0 - scenario.asymmetry * osc)
+    osc = np.sin(n_occ * omega_0 * t / 2.0) ** 2
+    p_upper = 0.5 * (1.0 + asymmetry * osc)
+    p_lower = 0.5 * (1.0 - asymmetry * osc)
     return p_upper, p_lower
 
 

@@ -445,8 +445,8 @@ def rk4_expectation_series(
     if bad.size:
         k = bad[0]
         raise RefinementError(
-            f"norm drift {drift[k]:g} at t={t[k]:g}; reduce the step "
-            f"(current h={h:g})"
+            f"RK4 state norm drift {drift[k]:g} at t={t[k]:g}; "
+            "shorten t_max or choose engine exponential"
         )
     return read_channels(rows, basis, coeffs, psi0.amplitudes, channels, occupations)
 

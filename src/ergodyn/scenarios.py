@@ -41,7 +41,7 @@ from .fock import (
     occupation_counts,
     superposition,
 )
-from .measures import BipartitionSpec, l1_coherence, negativity
+from .measures import l1_coherence, negativity
 
 ENGINES = ("analytic", "exponential", "rk4", "all")
 
@@ -276,7 +276,7 @@ def _product(ns, omegas, base_omega) -> _Model:
 
     def probabilities(t):
         singles = [
-            cf.balanced_superposition_probabilities(n, w, 0.0, t)
+            cf.balanced_superposition_probabilities(n * w, t)
             for n, w in zip(ns, omegas)
         ]
         return [
@@ -300,7 +300,7 @@ def _product(ns, omegas, base_omega) -> _Model:
         ),
         # the per-mode sum, which rounds differently from sum |occ| p_occ
         number=lambda t: sum(
-            cf.balanced_superposition_number(n, w, 0.0, t)
+            cf.balanced_superposition_number(n, n * w, t)
             for n, w in zip(ns, omegas)
         ),
         mode_terms=[{(0,): root, (n,): root} for n in ns],
@@ -317,7 +317,7 @@ def _noon(v: dict) -> _Model:
         omega=(omega_a, omega_b),
         terms={(0, 0): root, (n, m): root},
         channels=[(0, 0), (n, m)],
-        probabilities=lambda t: cf.noon_probabilities(n, m, omega_a, omega_b, t),
+        probabilities=lambda t: cf.balanced_superposition_probabilities(gap, t),
         p_return=lambda t: cf.two_level_survival(math.pi / 4, gap, t),
         omega_osc=cf.oscillation_frequency(math.pi / 4, gap),
     )
@@ -338,17 +338,18 @@ def _interferometer(m_occ, n_occ, phi, omega_a, omega_b, pair, **model) -> _Mode
 
 def _first_order(key, n_occ, phi, omega_a, omega_b, eps, pair, extra) -> _Model:
     """M = N interferometer detuned by eps, against the first-order closed
-    form ``pair(params, t)``.  ``key`` names the config key that set eps; a
-    detuning too large for the closed form is a ConfigError of that key."""
-    try:
-        params = cf.MoonParams(
-            m_occ=n_occ, n_occ=n_occ, phi=phi, omega_a=omega_a, omega_b=omega_b
+    form ``pair``.  ``key`` names the config key that set eps; a detuning
+    too large for the closed form is a ConfigError of that key."""
+    if not omega_b > 0:
+        raise ConfigError(key, "frequencies must be positive")
+    detuning = (omega_b - omega_a) / omega_a
+    if abs(detuning) >= 0.1:
+        raise ConfigError(
+            key, f"relative detuning {detuning:g} too large for perturbation theory"
         )
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from None
     period = 2.0 * math.pi / (n_occ * omega_a)
     return _interferometer(
-        n_occ, n_occ, phi, omega_a, omega_b, lambda t: pair(params, t),
+        n_occ, n_occ, phi, omega_a, omega_b, pair,
         omega_osc=n_occ * omega_a,
         analytic_tol=lambda horizon: (
             PERT_RESIDUAL_COEFF * eps**2 * max(1.0, horizon / period) + 1e-12
@@ -385,39 +386,39 @@ def _moon_perturbative(v: dict) -> _Model:
     else:
         key, eps = "eps", 1e-3 if v["eps"] is None else v["eps"]
         omega_b = omega_a * (1.0 + eps)
+    phi = v["phi"]
     return _first_order(
-        key, n_occ, v["phi"], omega_a, omega_b, eps,
-        cf.moon_perturbative_probabilities, {},
+        key, n_occ, phi, omega_a, omega_b, eps,
+        lambda t: cf.moon_perturbative_probabilities(n_occ, phi, omega_a, omega_b, t),
+        {},
     )
 
 
 def _gravitational(v: dict) -> _Model:
-    if v["L"] >= 0.1 * v["r_E"]:
+    n_occ, omega_0, r_S, r_E, L = v["N"], v["omega_0"], v["r_S"], v["r_E"], v["L"]
+    if L >= 0.1 * r_E:
+        raise ConfigError("L", f"first-order redshift needs L < 0.1 r_E, got L={L:g}")
+    try:
+        asymmetry = cf.gravitational_asymmetry(r_S, r_E, L)
+    except (OverflowError, ZeroDivisionError):  # r_E**2 overflows or is 0
         raise ConfigError(
-            "L", f"first-order redshift needs L < 0.1 r_E, got L={v['L']:g}"
-        )
-    n_occ, omega_0 = v["N"], v["omega_0"]
-    scenario = cf.GravityScenario(
-        schwarzschild_radius=v["r_S"],
-        earth_radius=v["r_E"],
-        path_length=v["L"],
-        omega_0=omega_0,
-        n_occ=n_occ,
-    )
-    eps = -scenario.relative_shift
+            "r_E", f"r_E**2 is past the float range, got r_E={r_E:g}"
+        ) from None
+    # minus the first-order fractional shift (r_S / 2) L / r_E^2
+    eps = -(0.5 * r_S * L / r_E**2)
     model = _first_order(
         "r_S", n_occ, math.pi / 4, omega_0, omega_0 * (1.0 + eps), eps,
-        lambda params, t: cf.gravitational_probabilities(scenario, t),
-        {"asymmetry_closed_form": scenario.asymmetry},
+        lambda t: cf.gravitational_probabilities(asymmetry, n_occ, omega_0, t),
+        {"asymmetry_closed_form": asymmetry},
     )
     first, second = _labels(model.channels[1:], 2)
 
-    def asymmetry(channels):
+    def readout(channels):
         return {
             "asymmetry_amplitude": float(np.max(channels[first] - channels[second]))
         }
 
-    return replace(model, readout=asymmetry)
+    return replace(model, readout=readout)
 
 
 def _custom_state(v: dict) -> _Model:
@@ -854,8 +855,7 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
     neg = None
     if prep.system.modes >= 2:
         # mode 0 against the rest of the register
-        part = BipartitionSpec((0,), tuple(range(1, prep.system.modes)))
-        neg = negativity(prep.psi0, prep.system, part)
+        neg = negativity(prep.psi0, prep.system)
 
     summary = {
         "scenario": cfg.scenario,

@@ -90,6 +90,13 @@ REFUSALS = (
     "run --scenario two-mode-separable --omega_a 1e6",
     "run --scenario two-mode-separable --omega_a 1e7",
     "run --scenario gravitational-mzi --omega_0 1e-300",
+    "run --scenario gravitational-mzi --L 1e6",
+    "run --scenario moon-perturbative --M 3",
+    "run --scenario moon-perturbative --omega_b 1.5",
+    "run --scenario gravitational-mzi --r_S 1e12",
+    "run --scenario multimode-product --base_omega 0",
+    "run --scenario gravitational-mzi --r_E 1e190",
+    "run --scenario gravitational-mzi --r_E 1e155 --r_S 1e300 --L 1e150 --steps 3",
 )
 
 #: the command lines, in manifest order; each runs as ``main(line.split())``

@@ -19,7 +19,6 @@ import numpy as np
 from ergodyn.emit import _csv_blocks
 from ergodyn.errors import GridError
 from ergodyn.fock import Ket, ModeSystem
-from ergodyn.measures import BipartitionSpec
 from ergodyn.oracles import DensityOperator, kron_generator
 
 
@@ -35,30 +34,24 @@ def l1_coherence(rho: DensityOperator) -> float:
 
 
 def partial_transpose(
-    rho: DensityOperator, system: ModeSystem, part: BipartitionSpec
+    rho: DensityOperator, system: ModeSystem, modes=None
 ) -> np.ndarray:
-    """Transpose the second subsystem's indices of the density matrix."""
-    part.validate_for(system)
-    if rho.dimension != system.dimension:
-        raise ValueError(
-            f"state dimension {rho.dimension} does not match system "
-            f"{system.dimension}"
-        )
+    """Transpose the indices of ``modes`` (default: all but mode 0) of the
+    density matrix."""
     dims = [c + 1 for c in system.cutoff]
     k = system.modes
     tensor = rho.matrix.reshape(dims + dims)
     axes = list(range(2 * k))
-    for mode in part.subsystem_b:
+    for mode in range(1, k) if modes is None else modes:
         axes[mode], axes[k + mode] = axes[k + mode], axes[mode]
     return tensor.transpose(axes).reshape(rho.matrix.shape)
 
 
-def negativity(
-    rho: DensityOperator, system: ModeSystem, part: BipartitionSpec
-) -> float:
-    """|sum of negative eigenvalues| of the partial transpose, which is
-    Hermitian, so the spectrum comes from the symmetric eigensolver."""
-    pt = partial_transpose(rho, system, part)
+def negativity(rho: DensityOperator, system: ModeSystem, modes=None) -> float:
+    """|sum of negative eigenvalues| of the partial transpose over ``modes``
+    (default: mode 0 against the rest), which is Hermitian, so the spectrum
+    comes from the symmetric eigensolver."""
+    pt = partial_transpose(rho, system, modes)
     evals = np.linalg.eigvalsh(pt)
     return float(-evals[evals < 0.0].sum())
 

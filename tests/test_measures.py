@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ergodyn.fock import Ket, ModeSystem, superposition
-from ergodyn.measures import BipartitionSpec, l1_coherence, negativity
+from ergodyn.measures import l1_coherence, negativity
 from ergodyn.oracles import DensityOperator, fock_ket
 
 TWO = ModeSystem((1.0, 1.5), (2, 3))
@@ -45,37 +45,27 @@ def test_l1_zero_iff_diagonal():
 
 
 def test_negativity_product_state():
-    assert negativity(
-        fock_ket(TWO, (1, 2)),
-        TWO,
-        BipartitionSpec((0,), (1,)),
-    ) == pytest.approx(0.0, abs=1e-12)
+    assert negativity(fock_ket(TWO, (1, 2)), TWO) == pytest.approx(0.0, abs=1e-12)
     plus = superposition(TWO, {(0, 0): 1.0, (1, 0): 1.0})
-    assert negativity(
-        plus, TWO, BipartitionSpec((0,), (1,))
-    ) == pytest.approx(0.0, abs=1e-12)
+    assert negativity(plus, TWO) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_negativity_family_is_half_coherence():
-    part = BipartitionSpec((0,), (1,))
     for theta in np.linspace(0.0, np.pi / 2, 9):
         rho = family_state(theta)
-        n = negativity(rho, TWO, part)
+        n = negativity(rho, TWO)
         assert n == pytest.approx(0.5 * abs(np.sin(2 * theta)), abs=1e-12)
         assert n == pytest.approx(0.5 * l1_coherence(rho), abs=1e-12)
 
 
 def test_negativity_maximal_value():
-    assert negativity(
-        family_state(np.pi / 4), TWO, BipartitionSpec((0,), (1,))
-    ) == pytest.approx(0.5, abs=1e-12)
+    assert negativity(family_state(np.pi / 4), TWO) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_negativity_invariant_under_local_unitaries():
     rng = np.random.default_rng(15)
-    part = BipartitionSpec((0,), (1,))
     psi = family_state(0.9)
-    base = negativity(psi, TWO, part)
+    base = negativity(psi, TWO)
     da, db = 3, 4
     for _ in range(100):
         za = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
@@ -84,7 +74,7 @@ def test_negativity_invariant_under_local_unitaries():
         ub, _ = np.linalg.qr(zb)
         u = np.kron(ua, ub)
         rotated = Ket(u @ psi.amplitudes)
-        assert abs(negativity(rotated, TWO, part) - base) < 1e-10
+        assert abs(negativity(rotated, TWO) - base) < 1e-10
 
 
 def test_partial_transpose_involution_and_trace():
@@ -96,37 +86,31 @@ def test_partial_transpose_involution_and_trace():
     rho_b = zb @ zb.conj().T
     mat = np.kron(rho_a / np.trace(rho_a).real, rho_b / np.trace(rho_b).real)
     rho = DensityOperator(mat)
-    part = BipartitionSpec((0,), (1,))
-    pt = oracles.partial_transpose(rho, TWO, part)
+    pt = oracles.partial_transpose(rho, TWO)
     assert np.trace(pt) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(
         pt, np.kron(rho_a / np.trace(rho_a).real, (rho_b / np.trace(rho_b).real).T),
         atol=1e-14,
     )
-    pt2 = oracles.partial_transpose(DensityOperator(pt), TWO, part)
+    pt2 = oracles.partial_transpose(DensityOperator(pt), TWO)
     np.testing.assert_allclose(pt2, rho.matrix, atol=1e-14)
 
 
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        BipartitionSpec((), (0,))
-    with pytest.raises(ValueError):
-        BipartitionSpec((0,), (0,))
-    part = BipartitionSpec((0,), (2,))  # does not cover mode 1
-    with pytest.raises(ValueError):
-        negativity(family_state(0.3), TWO, part)
+def test_negativity_splits_mode_0_from_the_rest():
+    # mode 0 in vacuum, modes 1 and 2 maximally entangled: the split of
+    # mode 0 from the rest sees no entanglement, the split of mode 1 does
+    sys3 = ModeSystem((1.0, 1.0, 1.0), (1, 1, 1))
+    psi = superposition(sys3, {(0, 0, 0): 1.0, (0, 1, 1): 1.0})
+    assert negativity(psi, sys3) == pytest.approx(0.0, abs=1e-12)
+    rho = oracles.pure_density(psi)
+    assert oracles.negativity(rho, sys3, (1,)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_three_mode_bipartition():
     sys3 = ModeSystem((1.0, 1.0, 1.0), (1, 1, 1))
     bell_like = superposition(sys3, {(0, 0, 0): 1.0, (1, 1, 1): 1.0})
-    # any bipartition of a GHZ-like state has negativity 1/2
-    for part in (
-        BipartitionSpec((0,), (1, 2)),
-        BipartitionSpec((0, 1), (2,)),
-        BipartitionSpec((0, 2), (1,)),
-    ):
-        assert negativity(bell_like, sys3, part) == pytest.approx(0.5, abs=1e-12)
+    # a GHZ-like state has negativity 1/2 across mode 0 against the rest
+    assert negativity(bell_like, sys3) == pytest.approx(0.5, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -146,10 +130,5 @@ def test_amplitude_measures_match_density_matrix_oracles(cutoffs, data):
     psi = Ket(amps)
     rho = oracles.pure_density(psi)
     assert abs(l1_coherence(psi) - oracles.l1_coherence(rho)) <= 1e-12
-    modes = range(len(cutoffs))
-    b = data.draw(
-        st.sets(st.sampled_from(modes), min_size=1, max_size=len(cutoffs) - 1)
-    )
-    part = BipartitionSpec(tuple(m for m in modes if m not in b), tuple(sorted(b)))
-    dense = oracles.negativity(rho, sys_, part)
-    assert abs(negativity(psi, sys_, part) - dense) <= 1e-12
+    dense = oracles.negativity(rho, sys_)
+    assert abs(negativity(psi, sys_) - dense) <= 1e-12

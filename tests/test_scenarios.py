@@ -669,7 +669,7 @@ FIELDS = {f.name for f in fields(ScenarioConfig)}
 INTS = st.integers(-2, 6).map(str)
 FREQUENCIES = st.sampled_from(["0", "-1", "1e6", "0.3", "1", "1.7", "2.5"])
 #: the values above and signed powers of ten from 1e-300 to 1e300; drawn
-#: for the frequencies, E0 and t_max when the draws are wide
+#: for every float key and t_max when the draws are wide
 DECADES = st.one_of(
     FREQUENCIES,
     st.builds("{}1e{}".format, st.sampled_from(["", "-"]), st.integers(-300, 300)),
@@ -680,13 +680,12 @@ DECADES = st.one_of(
 def _override_sets(draw, wide=False):
     """A scenario with a random subset of the keys it reads set to random
     integers, frequencies or lists of one to three of them; ``wide`` draws
-    the frequencies and E0 from DECADES."""
+    every float key from DECADES."""
     name = draw(st.sampled_from(sorted(SCENARIOS)))
     overrides = dict(BASE.get(name, {}))
     for key in draw(st.lists(st.sampled_from(list(SCENARIOS[name].keys)), unique=True)):
         kind, is_list = _SCHEMA[key]
-        floats = DECADES if wide and key.startswith(("omega", "base_omega", "E0")) \
-            else FREQUENCIES
+        floats = DECADES if wide else FREQUENCIES
         entry = INTS if kind is int else floats if kind is float else None
         if entry is None:
             continue
@@ -713,6 +712,19 @@ def _override_sets(draw, wide=False):
 # an all-excited recurrence ratio past the float range
 @example(command="run", engine="exponential", case=("two-mode-separable", {
     "omega_a": "1e300", "base_omega": "1e-25"}), t_max=None, steps=3)
+# an RK4 norm drift past the bound at the planned step
+@example(command="run", engine="rk4", case=("two-mode-separable", {
+    "n": "1", "omega_a": "1e8"}), t_max=None, steps=2)
+# r_E**2 past the float range: it overflows, or it is 0
+@example(command="run", engine="all", case=("gravitational-mzi", {
+    "r_E": "1e190"}), t_max=None, steps=2)
+@example(command="run", engine="all", case=("gravitational-mzi", {
+    "r_E": "1e155", "r_S": "1e300", "L": "1e150"}), t_max=None, steps=3)
+@example(command="run", engine="all", case=("gravitational-mzi", {
+    "r_E": "1e-170", "L": "1e-300"}), t_max=None, steps=3)
+# an engine disagreement in a sweep exits 3, as in run
+@example(command="sweep", engine="all", case=("entangled-noon", {}), t_max="1e6",
+         steps=11)
 def test_cli_never_leaves_a_traceback(command, engine, case, t_max, steps):
     name, overrides = case
     if t_max is not None:
