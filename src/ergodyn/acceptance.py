@@ -2,12 +2,14 @@
 
 Each criterion returns a :class:`CriterionResult`; ``run_all`` prints one
 pass/fail line per criterion, and is what ``ergodyn selftest`` executes.
-Criteria 1-8 are rows: config overrides, run by ``run_scenario`` as ``ergodyn
-run`` runs them, and what is read from each ``(series, summary)`` with its
-bound.  A closed form is checked by the run's own ``analytic_vs_exponential``
-residual, over every channel, ``n_expect`` and ``p_survival``.  A value that
-is NaN or missing fails.  Criterion 11 runs states through ``compare``; 9, 10
-and 12 check the measures, passivity and the generator on random instances.
+Criteria 1 and 3-8 are rows: config overrides, run by ``run_scenario`` as
+``ergodyn run`` runs them, and what is read from each ``(series, summary)``
+with its bound.  A closed form is checked by the run's own
+``analytic_vs_exponential`` residual, over every channel, ``n_expect`` and
+``p_survival``, so the survival closed form is criterion 1's (there is no
+criterion 2).  A value that is NaN or missing fails.  Criterion 11 runs
+states through ``compare``; 9, 10 and 12 check the measures, passivity and
+the generator on random instances.
 """
 
 from __future__ import annotations
@@ -48,14 +50,9 @@ def _result(number, title, checks):
     return CriterionResult(number, title, not failed, detail)
 
 
-def _run(overrides: dict, cache: dict):
-    """(series, summary) of one run of a named scenario, not strict, kept in
-    ``cache`` by its overrides."""
-    key = tuple(overrides.items())
-    if key not in cache:
-        cfg = load_config(None, {"engine": "all", **overrides})
-        cache[key] = run_scenario(cfg, strict=False)
-    return cache[key]
+def _run(overrides: dict):
+    """(series, summary) of one run of a named scenario, not strict."""
+    return run_scenario(load_config(None, {"engine": "all", **overrides}), strict=False)
 
 
 def _each(read):
@@ -77,14 +74,12 @@ def _unit_sum(series, _):
 
 def _row(name, title, runs, *reads):
     """Criterion ``name``: make ``runs`` (config overrides), and check the
-    value of each ``(what, runs -> value, bound)`` of ``reads``.  Rows that
-    make the same run share it through the ``cache`` run_all passes."""
+    value of each ``(what, runs -> value, bound)`` of ``reads``."""
     number = int(name.split("_")[1])
 
-    def criterion(cache=None):
-        cache = {} if cache is None else cache
+    def criterion():
         try:
-            results = [_run(overrides, cache) for overrides in runs]
+            results = [_run(overrides) for overrides in runs]
         except (ValueError, ErgodynError) as exc:
             return CriterionResult(number, title, False, f"FAILED: a run raised {exc}")
         return _result(number, title, [(w, read(results), b) for w, read, b in reads])
@@ -103,7 +98,6 @@ _QUBITS = [
 _PAIR = {"n": 2, "m": 3, "omega_a": 1.0, "omega_b": math.sqrt(2.0)}
 _SEPARABLE = {"scenario": "two-mode-separable", **_PAIR, "t_max": 9, "steps": 2001}
 _COLLECTIVE = (2 * 1.0 + 3 * math.sqrt(2.0)) / math.sqrt(2.0)  # (n wa + m wb) / sqrt 2
-_SEPARATE = (2 * 1.0 / math.sqrt(2.0), 3 * math.sqrt(2.0) / math.sqrt(2.0))
 _ASYMMETRY = 1e-2 * 1e5 / 6.371e6**2  # r_S L / r_E^2 of the bundled constants
 
 
@@ -262,14 +256,12 @@ def criterion_12_structural_properties():
                    [(k, np.max(v), bounds[k]) for k, v in dev.items()])
 
 
-#: criteria 1-8, on named-scenario runs
+#: criteria 1 and 3-8, on named-scenario runs
 ROWS = (
     _row("criterion_01_two_level_triangle", "two-level probability triangle", _QUBITS,
          (_ANALYTIC, _closed_form, 1e-10),
          ("exponential_vs_rk4", _residual("exponential_vs_rk4"), 1e-8),
          ("|sum p - 1|", _each(_unit_sum), 1e-12)),
-    _row("criterion_02_survival_closed_form", "survival probability closed form",
-         _QUBITS, (_ANALYTIC, _closed_form, 1e-10)),
     _row("criterion_03_full_fock_single_mode", "full-space balanced single mode",
          [{"scenario": "single-mode-superposition", "n": 3, "omega": (1.0,),
            "t_max": 20, "steps": 2001, "comparison": True}],
@@ -284,10 +276,9 @@ ROWS = (
     _row("criterion_05_entangled_pair", "entangled pair collective oscillation",
          [{"scenario": "entangled-noon", **_PAIR, "t_max": 40, "steps": 4001}],
          (_ANALYTIC, _closed_form, 1e-9),
+         # within 5% of 4.414 is at least 39% from the separable rates sqrt 2, 3
          ("rate error vs collective",
-          _each(lambda s, _: abs(_rate(s) - _COLLECTIVE) / _COLLECTIVE), 0.05),
-         ("gap to a separable rate", _each(lambda s, _: min(
-             abs(_rate(s) - r) / r for r in _SEPARATE)), (0.10, math.inf))),
+          _each(lambda s, _: abs(_rate(s) - _COLLECTIVE) / _COLLECTIVE), 0.05)),
     _row("criterion_06_degenerate_interferometer", "degenerate interferometer is static",
          [{"scenario": "moon-degenerate", "M": 2, "N": 1, "omega_a": 1.0,
            "omega_b": 2.0, "phi": math.pi / 3, "t_max": 50, "steps": 2001}],
@@ -320,9 +311,9 @@ CRITERIA = (
 
 def run_all(verbose: bool = True) -> bool:
     """Run every criterion; print one line each; True iff all passed."""
-    all_ok, runs = True, {}  # shared by the rows: criteria 1 and 2 read the same
+    all_ok = True
     for criterion in CRITERIA:
-        res = criterion(runs) if criterion in ROWS else criterion()
+        res = criterion()
         all_ok &= res.passed
         if verbose:
             status = "PASS" if res.passed else "FAIL"

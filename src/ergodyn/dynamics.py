@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, RefinementError
+from .errors import RefinementError
 from .fock import Ket
 from .passive import decompose_against_ground
 
@@ -108,8 +108,6 @@ class _Factor:
     def __init__(self, energies, state: Ket):
         self.energies = np.asarray(energies, dtype=float)
         dim = self.energies.size
-        if state.dimension != dim:
-            raise ValueError(f"dimension mismatch: H {dim}, state {state.dimension}")
         dec = decompose_against_ground(state)
         self.cos, self.sin = c, s = np.cos(dec.theta), np.sin(dec.theta)
         # tolerances relative to the energies: hbar = 1, so scaling them by s
@@ -171,16 +169,13 @@ class EffectiveDynamics:
     (one factor per block of consecutive modes, in mode order), and
     ``energies`` the diagonal of H over the whole register.  The energy
     scalars are taken against the state recovered from the rotation itself
-    (psi = U_p^dag |ground>): ``ground_energy`` = <0|H|0>,
-    ``excited_energy`` the energy of the excited component, ``energy_gap``
-    their difference.  ``mixing_sine`` is sin(theta) of the recovered
+    (psi = U_p^dag |ground>): ``energy_gap`` is the energy of its excited
+    component less <0|H|0>.  ``mixing_sine`` is sin(theta) of the recovered
     decomposition and feeds the RK4 step rule of the scenarios.
     """
 
     factors: tuple
     energies: np.ndarray
-    ground_energy: float
-    excited_energy: float
     energy_gap: float
     mixing_sine: float
 
@@ -203,22 +198,18 @@ def effective_dynamics(factors) -> EffectiveDynamics:
             local += f.sin * f.excited
         local[0] = f.cos
         recovered = np.multiply.outer(recovered, local).ravel()
-    e_ground = float(energies[0])
     cos_theta = float(np.clip(abs(recovered[0]), 0.0, 1.0))
     sin_theta = float(np.sqrt(max(1.0 - cos_theta**2, 0.0)))
+    gap = 0.0
     if sin_theta > 1e-12:
         excited = recovered.copy()
         excited[0] = 0.0
         excited = excited / np.linalg.norm(excited)
-        e_excited = float((excited.conj() @ (energies * excited)).real)
-    else:
-        e_excited = e_ground
+        gap = float((excited.conj() @ (energies * excited)).real) - float(energies[0])
     return EffectiveDynamics(
         factors=factors,
         energies=energies,
-        ground_energy=e_ground,
-        excited_energy=e_excited,
-        energy_gap=e_excited - e_ground,
+        energy_gap=gap,
         mixing_sine=sin_theta,
     )
 
@@ -421,22 +412,13 @@ def rk4_expectation_series(
     used, so the route is independent of the exponential propagator.  The
     exact flow conserves the state norm; a drift beyond RK4_DRIFT_TOL at
     any grid time aborts with :class:`RefinementError`, and so does a step
-    matrix that overflows when powered to the substep count.  ``substeps``
-    steps span one grid step; the caller chooses them.  ``psi0`` is the
-    state at t = 0, as for the exponential route, and the steps start there,
-    so the grid must begin at 0 (:class:`GridError` otherwise).
+    matrix that overflows when powered to the substep count.  The grid and
+    ``substeps`` are the run plan's (:func:`ergodyn.scenarios._assemble`):
+    uniform samples from t = 0, where ``psi0`` is given as for the
+    exponential route, and ``substeps`` >= 1 steps per grid step.
     """
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise GridError("time grid must contain at least two points")
-    if t[0] != 0.0:
-        raise GridError(f"RK4 grid must start at t = 0, got t[0] = {t[0]:g}")
-    dt = np.diff(t)
-    if np.abs(dt - dt[0]).max() > 1e-9 * abs(dt[0]):
-        raise GridError("time grid must be uniform")
-    if substeps < 1:
-        raise GridError(f"substeps must be >= 1, got {substeps}")
-    h = float(dt[0]) / substeps
+    h = float(t[1] - t[0]) / substeps
     flow = functools.partial(_rk4_flow, h=h, substeps=substeps)
     rows, basis, coeffs = _reduced_states(dyn, psi0.amplitudes, t, flow)
     drift = np.abs(np.sqrt(_expectation(basis, coeffs, np.ones(rows.size))) - 1.0)
@@ -510,8 +492,6 @@ class TimeSeries:
         # a NaN, and the range checks come first
         probability = self.probability_channels
         rest = probability.difference(*self.partitions)
-        if not rest <= self.channels.keys():
-            raise KeyError(min(rest - self.channels.keys()))
         if len(rest) > 1:
             rest = [n for n in self.channels if n in rest]
         deviations = []
@@ -544,9 +524,6 @@ class TimeSeries:
                 raise ValueError(
                     f"partition {group} sums to 1 +/- {dev:g} (> 1e-9)"
                 )
-
-    def column_names(self):
-        return list(self.channels)
 
 
 def evolve_probabilities(

@@ -54,7 +54,7 @@ def _csv_blocks(series: TimeSeries):
     """The header, then the bytes of each block of rows."""
     from ._csvkernel import format_block  # builds its tables once
 
-    names = series.column_names()
+    names = list(series.channels)
     yield (",".join(["t"] + names) + "\n").encode("utf-8")
     columns = [series.times] + [series.channels[n] for n in names]
     rows = max(1, BLOCK_CELLS // len(columns))
@@ -68,20 +68,8 @@ def write_series_csv(series: TimeSeries, path) -> None:
             fh.write(chunk)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
-
-
 def format_summary_json(summary: dict) -> str:
-    return json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n"
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def write_summary_json(summary: dict, path) -> None:

@@ -5,10 +5,6 @@ class ErgodynError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class GridError(ErgodynError):
-    """A time grid does not meet the requirements of the integrator."""
-
-
 class RefinementError(ErgodynError):
     """Integration step too coarse: conserved quantities drifted past tolerance."""
 

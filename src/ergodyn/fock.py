@@ -19,27 +19,15 @@ import numpy as np
 class ModeSystem:
     """A register of bosonic modes with per-mode frequency and Fock cutoff.
 
-    ``omega[i]`` is the angular frequency of mode i (> 0) and ``cutoff[i]``
-    the largest occupation retained for that mode (>= 1), so the local
-    dimension of mode i is ``cutoff[i] + 1``.
+    ``omega[i]`` is the angular frequency of mode i and ``cutoff[i]`` the
+    largest occupation retained for that mode, so the local dimension of
+    mode i is ``cutoff[i] + 1``.  Nothing is checked here: the run plan
+    (:func:`ergodyn.scenarios._assemble`) builds a register only from
+    values it has checked, one float > 0 and one int >= 1 per mode.
     """
 
     omega: tuple[float, ...]
     cutoff: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", tuple(float(w) for w in self.omega))
-        object.__setattr__(self, "cutoff", tuple(int(c) for c in self.cutoff))
-        if len(self.omega) == 0:
-            raise ValueError("at least one mode is required")
-        if len(self.omega) != len(self.cutoff):
-            raise ValueError(
-                f"omega has {len(self.omega)} entries but cutoff has {len(self.cutoff)}"
-            )
-        if any(w <= 0 for w in self.omega):
-            raise ValueError(f"mode frequencies must be positive, got {self.omega}")
-        if any(c < 1 for c in self.cutoff):
-            raise ValueError(f"cutoffs must be >= 1, got {self.cutoff}")
 
     @property
     def modes(self) -> int:
@@ -54,16 +42,10 @@ class ModeSystem:
 
 
 def flat_index(system: ModeSystem, occupations) -> int:
-    """Flat index of an occupation tuple under row-major ordering."""
-    occ = tuple(int(n) for n in occupations)
-    if len(occ) != system.modes:
-        raise ValueError(f"expected {system.modes} occupations, got {len(occ)}")
-    idx = 0
-    for n, c in zip(occ, system.cutoff):
-        if not 0 <= n <= c:
-            raise ValueError(f"occupation {n} outside [0, {c}]")
-        idx = idx * (c + 1) + n
-    return idx
+    """Flat index of an occupation tuple under row-major ordering
+    (ValueError for a wrong length or an occupation outside [0, cutoff])."""
+    shape = [c + 1 for c in system.cutoff]
+    return int(np.ravel_multi_index(tuple(occupations), shape))
 
 
 class Ket:
@@ -95,10 +77,8 @@ def superposition(system: ModeSystem, terms) -> Ket:
     """Normalized combination sum_occ amp * |occ> from {occupations: amplitude}."""
     terms = dict(terms)
     occ = np.array(list(terms) or np.empty((0, system.modes)), dtype=int)
-    if occ.ndim != 2 or occ.shape[1] != system.modes:
-        raise ValueError(f"expected {system.modes} occupations per term")
     vec = np.zeros(system.dimension, dtype=complex)
-    # ValueError for an occupation outside [0, cutoff]
+    # ValueError for a term of the wrong length or outside [0, cutoff]
     flat = np.ravel_multi_index(occ.T, [c + 1 for c in system.cutoff])
     np.add.at(vec, flat, list(terms.values()))
     return Ket(vec)

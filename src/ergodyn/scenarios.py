@@ -339,9 +339,8 @@ def _interferometer(m_occ, n_occ, phi, omega_a, omega_b, pair, **model) -> _Mode
 def _first_order(key, n_occ, phi, omega_a, omega_b, eps, pair, extra) -> _Model:
     """M = N interferometer detuned by eps, against the first-order closed
     form ``pair``.  ``key`` names the config key that set eps; a detuning
-    too large for the closed form is a ConfigError of that key."""
-    if not omega_b > 0:
-        raise ConfigError(key, "frequencies must be positive")
+    too large for the closed form is a ConfigError of that key; so is an
+    omega_b <= 0, a detuning of -1 or less."""
     detuning = (omega_b - omega_a) / omega_a
     if abs(detuning) >= 0.1:
         raise ConfigError(
@@ -609,14 +608,10 @@ def _rk4_substeps(dyn: EffectiveDynamics, omega_max: float, dt: float,
                   key: str = "t_max") -> int:
     """RK4 substeps per grid step ``dt``: a step of at most one
     RK4_STEPS_PER_PERIOD-th of the fastest period, of |sin(theta) gap| or
-    ``omega_max``, or of the largest block entry when neither oscillates.  A
-    count past the float range is a ConfigError of ``key``."""
-    omega_osc = max(abs(dyn.mixing_sine * dyn.energy_gap), float(omega_max))
-    if omega_osc <= 0.0:
-        # static generator: any step works; normalize on the largest block entry
-        scale = max(np.abs(f.block).max() for f in dyn.factors)
-        omega_osc = scale if scale > 0 else 1.0
-    step = (2.0 * math.pi / float(omega_osc)) / RK4_STEPS_PER_PERIOD
+    of ``omega_max`` > 0, the register's top frequency.  A count past the
+    float range is a ConfigError of ``key``."""
+    omega_osc = max(abs(dyn.mixing_sine * dyn.energy_gap), omega_max)
+    step = (2.0 * math.pi / omega_osc) / RK4_STEPS_PER_PERIOD
     count = float(dt) / step  # Python floats: past the range, inf and no warning
     if not math.isfinite(count):
         raise ConfigError(
@@ -838,7 +833,7 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
         series = TimeSeries(
             t_grid,
             channels,
-            probability_channels=probability_channels & set(channels),
+            probability_channels=probability_channels,
             partitions=partitions,
         )
     except ValueError as exc:

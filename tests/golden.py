@@ -97,6 +97,17 @@ REFUSALS = (
     "run --scenario multimode-product --base_omega 0",
     "run --scenario gravitational-mzi --r_E 1e190",
     "run --scenario gravitational-mzi --r_E 1e155 --r_S 1e300 --L 1e150 --steps 3",
+    "run --scenario single-mode-superposition --cutoffs 2 --n 3",
+)
+
+#: valid runs down branches that no other command of the panel takes: a
+#: frozen factor (theta = 0), two reachable basis states in p_other, a
+#: periodic product register, and a grid of subnormal spacing
+BRANCHES = (
+    "compare --scenario custom-state --cutoffs 2 --omega 1 --amplitudes 1,0,0",
+    "compare --scenario custom-state --cutoffs 3 --omega 1 --amplitudes 1,1e-13,1e-13,1",
+    "run --scenario multimode-product --omega 1,3,5 --base_omega 0.7071067811865476",
+    "run --t_max 1e-320 --steps 11",
 )
 
 #: the command lines, in manifest order; each runs as ``main(line.split())``
@@ -106,6 +117,7 @@ COMMANDS = (
     *(f"compare --scenario {name} --engine all" for name in CLOSED_FORMS),
     "compare " + COMPLEX_3_3,
     *REFUSALS,
+    *BRANCHES,
     "run --engine rk4 --steps 20001",
     "run --scenario multimode-product --engine rk4 --steps 20001",
 )

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ergodyn.emit import _csv_blocks
-from ergodyn.errors import GridError
 from ergodyn.fock import Ket, ModeSystem
 from ergodyn.oracles import DensityOperator, kron_generator
 
@@ -146,14 +145,14 @@ def first_order_dyson(m0, m1, eps: float, t_grid) -> np.ndarray:
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 3:
-        raise GridError("Dyson grid needs at least three points")
+        raise ValueError("Dyson grid needs at least three points")
     if (t.size - 1) % 2 != 0:
-        raise GridError(
+        raise ValueError(
             f"Simpson quadrature needs an even interval count, got {t.size - 1}"
         )
     dt = np.diff(t)
     if np.abs(dt - dt[0]).max() > 1e-9 * abs(dt[0]):
-        raise GridError("Dyson grid must be uniform")
+        raise ValueError("Dyson grid must be uniform")
     h = float(dt[0])
 
     m0 = np.asarray(m0, dtype=complex)
@@ -186,7 +185,7 @@ def first_order_dyson(m0, m1, eps: float, t_grid) -> np.ndarray:
 
 def per_value_csv(series) -> str:
     """The series CSV with one ``'%.17g'`` per value, formatted row by row."""
-    names = series.column_names()
+    names = list(series.channels)
     table = np.column_stack([series.times] + [series.channels[n] for n in names])
     row = ",".join(["%.17g"] * table.shape[1])
     lines = [",".join(["t"] + names)] + [row % tuple(r.tolist()) for r in table]

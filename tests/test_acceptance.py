@@ -73,8 +73,6 @@ def _flipped_mode_states(spec):
 CAUGHT_BY = {
     "criterion_01_two_level_triangle": (
         "theta-sign", MUTANTS["theta-sign"], ["analytic_vs_exponential"]),
-    "criterion_02_survival_closed_form": (
-        "theta-sign", MUTANTS["theta-sign"], ["analytic_vs_exponential"]),
     "criterion_03_full_fock_single_mode": (
         "theta-sign", MUTANTS["theta-sign"], ["analytic_vs_exponential"]),
     "criterion_04_two_mode_products": (

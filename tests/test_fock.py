@@ -30,15 +30,6 @@ def test_basis_product_count_vacuum_first():
     assert flat_index(sys_, (0, 0)) == 0
 
 
-def test_mode_system_validation():
-    with pytest.raises(ValueError):
-        ModeSystem((1.0, 2.0), (1,))
-    with pytest.raises(ValueError):
-        ModeSystem((-1.0,), (2,))
-    with pytest.raises(ValueError):
-        ModeSystem((1.0,), (0,))
-
-
 def test_free_hamiltonian_single_mode():
     sys_ = ModeSystem((1.0,), (2,))
     np.testing.assert_array_equal(free_hamiltonian(sys_), np.diag([0.0, 1.0, 2.0]))

@@ -1,4 +1,7 @@
+import ast
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
@@ -632,6 +635,24 @@ def test_rk4_substeps_past_the_float_range_are_refused(command, engine, args, fi
     assert err.endswith(" takes RK4 substeps past the float range\n"), err
 
 
+def _config_error_lines(source: str) -> list:
+    """Lines of ``source`` that import or name ConfigError."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.alias) and node.name.endswith("ConfigError")
+            or isinstance(node, ast.Name) and node.id == "ConfigError"
+            or isinstance(node, ast.Attribute) and node.attr == "ConfigError"]
+
+
+def test_layers_below_the_plan_raise_no_config_error():
+    # a run refuses its input in the plan (scenarios._assemble) only; the
+    # layers below it take what the plan checked and import no ConfigError
+    assert _config_error_lines("from .errors import ConfigError") == [1]
+    assert _config_error_lines("from . import errors\nraise errors.ConfigError") == [2]
+    for name in ("fock", "passive", "dynamics", "measures", "closed_forms", "emit"):
+        module = importlib.import_module(f"ergodyn.{name}")
+        assert _config_error_lines(inspect.getsource(module)) == [], name
+
+
 #: a valid base config for the scenarios that need explicit keys
 BASE = {"custom-state": {"cutoffs": "1", "omega": "1.0", "amplitudes": "1,1"}}
 
@@ -668,11 +689,11 @@ def test_every_bad_scenario_key_is_named(name, key, value, capsys):
 FIELDS = {f.name for f in fields(ScenarioConfig)}
 INTS = st.integers(-2, 6).map(str)
 FREQUENCIES = st.sampled_from(["0", "-1", "1e6", "0.3", "1", "1.7", "2.5"])
-#: the values above and signed powers of ten from 1e-300 to 1e300; drawn
-#: for every float key and t_max when the draws are wide
+#: the values above and signed powers of ten from 1e-323 (subnormal) to
+#: 1e300; drawn for every float key and t_max when the draws are wide
 DECADES = st.one_of(
     FREQUENCIES,
-    st.builds("{}1e{}".format, st.sampled_from(["", "-"]), st.integers(-300, 300)),
+    st.builds("{}1e{}".format, st.sampled_from(["", "-"]), st.integers(-323, 300)),
 )
 
 
@@ -725,6 +746,11 @@ def _override_sets(draw, wide=False):
 # an engine disagreement in a sweep exits 3, as in run
 @example(command="sweep", engine="all", case=("entangled-noon", {}), t_max="1e6",
          steps=11)
+# a grid of subnormal spacing: the plan's grid, which RK4 steps as it is
+@example(command="run", engine="all", case=("single-mode-superposition", {}),
+         t_max="1e-320", steps=11)
+@example(command="compare", engine="all", case=("entangled-noon", {}),
+         t_max="5e-324", steps=3)
 def test_cli_never_leaves_a_traceback(command, engine, case, t_max, steps):
     name, overrides = case
     if t_max is not None:
@@ -1206,7 +1232,7 @@ def test_scaling_every_frequency_and_inverse_time_changes_no_channel(name, k):
         **scaled,
     }))
     assert scaled_summary["engines_agree"]
-    assert series.column_names() == base.column_names()
+    assert list(series.channels) == list(base.channels)
     for column in base.channels:
         np.testing.assert_allclose(
             series.channels[column], base.channels[column], rtol=0, atol=1e-12,
