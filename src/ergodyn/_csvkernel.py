@@ -1,5 +1,8 @@
 """Block kernel of the series CSV: ``'%.17g'`` text for a table of floats.
 
+:func:`format_block` prints each value followed by its column's separator
+byte, which the caller supplies: ',' and '\n' for a plain table, or a
+control byte where :mod:`ergodyn.emit` puts a formatted steady run back.
 :mod:`ergodyn.emit` imports this module on the first CSV it writes, so the
 lookup tables below are built then and not with the package.  The module
 docstring of :mod:`ergodyn.emit` explains the arithmetic.
@@ -94,9 +97,6 @@ def _mask_table():
 _HI, _LO = _powers()
 _HI_BIG = _SPLIT * _HI - (_SPLIT * _HI - _HI)  # Veltkamp halves of hi
 _HI_SMALL = _HI - _HI_BIG
-#: error bound of the rest per scale; -1 where 10^s is a double and the
-#: rest is exact
-_RESTS = np.where(_LO == 0.0, -1.0, _REST_ERR)
 #: k - _K_MIN -> "e+XX" or "e+XXX" in the low bytes of a word
 _EXPONENTS = np.frombuffer(
     b"".join((b"e%+03d" % k).ljust(8, b"\0") for k in range(_K_MIN, _K_MAX + 1)),
@@ -112,6 +112,17 @@ _MOVES = np.array(
 )
 _MASKS, _LENGTHS = _mask_table()
 _ONLY_SEP = len(_MASKS) - 1
+#: k - _K_MIN -> 17 layout + 16, the key of a positive value less its
+#: trailing zeros; and -> whether the dot moves (fixed notation, k >= 1)
+_KS = np.arange(_K_MIN, _K_MAX + 1)
+_KEYS = 17 * np.where(
+    (_KS >= _FIXED_MIN) & (_KS <= _FIXED_MAX),
+    _KS - _FIXED_MIN,
+    _LAYOUTS - 2 + (np.abs(_KS) >= 100),
+) + 16
+_MOVED = (_KS >= 1) & (_KS <= _FIXED_MAX)
+#: the key offset of a negative value
+_NEGATIVE = 17 * _LAYOUTS
 
 
 def _scaled(a, i):
@@ -121,15 +132,27 @@ def _scaled(a, i):
     h + l = a * hi exactly (Dekker); past 2^53 h is an even integer, so rint
     of the rest l + a * lo rounds the whole product half to even.
     """
-    h = a * _HI[i]
+    h = np.take(_HI, i)
+    h *= a
     t = _SPLIT * a
-    a_big = t - (t - a)
-    a_small = a - a_big
-    big, small = _HI_BIG[i], _HI_SMALL[i]
-    l = ((a_big * big - h) + a_big * small + a_small * big) + a_small * small
-    rest = l + a * _LO[i]
-    q = np.rint(rest)
-    return h.astype(np.int64) + q.astype(np.int64), rest - q
+    a_big = t - a
+    np.subtract(t, a_big, out=a_big)
+    a_small = np.subtract(a, a_big, out=t)
+    big, small = np.take(_HI_BIG, i), np.take(_HI_SMALL, i)
+    # l = ((a_big big - h) + a_big small + a_small big) + a_small small
+    l = a_big * big
+    l -= h
+    l += np.multiply(a_big, small, out=a_big)
+    l += np.multiply(a_small, big, out=big)
+    l += np.multiply(a_small, small, out=small)
+    lo = np.take(_LO, i)
+    lo *= a
+    l += lo  # the rest
+    q = np.rint(l)
+    l -= q
+    D = h.astype(np.int64)
+    D += q.astype(np.int64)
+    return D, l
 
 
 def _off_decade(D, d):
@@ -143,76 +166,94 @@ def _decompose(x):
     """(k, D, exact) per value: |x| rounds to D 10^(k-16), 10^16 <= D < 10^17.
 
     Zeros give k = 0 and D = 0.  Where ``exact`` is False the value needs
-    the per-value formatter, and k is 0.
+    the per-value formatter, and k is 0 or another exponent the kernel has.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the table index of 10^(16-k); log10 may be one off next to 10^k
-        i = 16.0 - np.floor(np.log10(a)) - _S_MIN
-    exact = (i >= 0.0) & (i < len(_HI))
-    a = np.where(exact, a, 1.0)
-    i = np.where(exact, i, 16 - _S_MIN).astype(np.int64)
+        i = np.log10(a)
+    np.floor(i, out=i)
+    np.subtract(16.0 - _S_MIN, i, out=i)
+    exact = i >= 0.0
+    exact &= i < len(_HI)
+    if not exact.all():  # zeros, NaN, infinities and the far decades
+        out = np.flatnonzero(~exact)
+        a[out], i[out] = 1.0, 16 - _S_MIN
+    i = i.astype(np.int64)
     D, d = _scaled(a, i)
-    step = _off_decade(D, d)
-    redo = np.flatnonzero(step)
+    # one test for D <= 10^16 or D > 10^17, then the exact one on the hits
+    redo = np.flatnonzero((D - (_E16 + 1)).view(np.uint64) >= np.uint64(_E17 - _E16))
     if redo.size:
-        i2 = i[redo] + step[redo]
+        step = _off_decade(D[redo], d[redo])
+        redo, step = redo[step != 0], step[step != 0]
+    if redo.size:
+        i2 = i[redo] + step
         inside = (i2 >= 0) & (i2 < len(_HI))
+        a[redo[~inside]] = 1.0  # left to the per-value formatter, as above
         i[redo] = i2 = np.where(inside, i2, 16 - _S_MIN)
         D[redo], d[redo] = _scaled(a[redo], i2)
         exact[redo] &= inside & (_off_decade(D[redo], d[redo]) == 0)
-    exact &= 0.5 - np.abs(d) > _RESTS[i]
+    # the rest is exact where 10^s is a double; elsewhere a fraction within
+    # its error bound of a half cannot be decided (0.5 - |d| is exact here)
+    near = np.flatnonzero(np.abs(d) >= 0.5 - _REST_ERR)
+    if near.size:
+        exact[near[_LO[i[near]] != 0.0]] = False
     k = 16 - _S_MIN - i
-    carry = D == _E17  # rounded up into the next decade
-    D[carry] = _E16
-    k[carry] += 1
-    exact &= k <= _K_MAX
-    zero = x == 0.0  # its index defaulted to 10^16, so k = 0
-    D[zero] = 0
-    exact |= zero
-    return np.where(exact, k, 0), D, exact
+    carry = np.flatnonzero(D == _E17)  # rounded up into the next decade
+    if carry.size:
+        D[carry] = _E16
+        k[carry] += 1
+        past = carry[k[carry] > _K_MAX]
+        exact[past], k[past] = False, 0
+    zero = np.flatnonzero(x == 0.0)  # its index defaulted to 10^16, so k = 0
+    D[zero], exact[zero] = 0, True
+    return k, D, exact
 
 
-def format_block(block: np.ndarray) -> bytes:
+def format_block(block: np.ndarray, seps: bytes) -> bytes:
     """CSV rows of a (rows, columns) float block: each value as ``'%.17g'``
-    prints it, ',' between columns, '\\n' after each row."""
+    prints it, followed by its column's byte of ``seps``."""
     x = block.ravel()
     k, D, exact = _decompose(x)
+    kk = k - _K_MIN
     head = D // 100000000  # d0..d8
-    tail = D - head * 100000000  # d9..d16
+    D -= head * 100000000  # d9..d16
     d0 = head // 100000000
     head -= d0 * 100000000
     quads = []
-    for part in (head, tail):
+    for part in (head, D):
         q = part // 10000
-        quads += [q, part - q * 10000]
+        part -= q * 10000
+        quads += [q, part]
     t = np.empty((x.size, _WIDTH // 8), _WORD)
-    t[:, 0] = _HEAD + (d0.astype(np.uint64) << np.uint64(48))
+    d0 = d0.astype(np.uint64)
+    d0 <<= np.uint64(48)
+    d0 += _HEAD
+    t[:, 0] = d0
     for j, q in enumerate(quads):
         t.view(_HALF)[:, 2 + j] = np.take(_QUADS, q)
-    sep = np.full(block.shape[1], ord(","), _WORD)
-    sep[-1] = ord("\n")
-    sep <<= np.uint64(8 * (_SEP_AT - 24))
-    t[:, 3] = (np.take(_EXPONENTS, k - _K_MIN).reshape(block.shape) + sep).ravel()
-    fixed = (k >= _FIXED_MIN) & (k <= _FIXED_MAX)
-    moved = np.flatnonzero(fixed & (k > 0))
+    sep = np.frombuffer(seps, np.uint8).astype(_WORD) << np.uint64(8 * (_SEP_AT - 24))
+    np.add(np.take(_EXPONENTS, kk).reshape(block.shape), sep,
+           out=t.reshape(*block.shape, -1)[:, :, 3])
+    moved = np.flatnonzero(np.take(_MOVED, kk))
     if moved.size:
         digits = t.view(np.uint8)[moved, 6:24]
         order = np.take(_MOVES, k[moved], axis=0)
         t.view(np.uint8)[moved, 6:24] = np.take_along_axis(digits, order, axis=1)
 
-    # significant digits: 17 less the trailing zeros of D (one for a zero)
-    zeros = np.take(_TRAILING, quads[3])
+    # the key: sign, layout and significant digits, 17 less the trailing
+    # zeros of D (a zero prints one)
+    key = np.take(_KEYS, kk)
+    key -= np.take(_TRAILING, quads[3])
     more = np.flatnonzero(quads[3] == 0)
     if more.size:
         run = np.ones(more.size, bool)
-        for q in (quads[2], quads[1], quads[0]):
+        for q in (quads[2], quads[1]):
             qm = q[more]
-            zeros[more] += run * np.take(_TRAILING, qm)
+            key[more] -= run * np.take(_TRAILING, qm)
             run &= qm == 0
-        zeros[more] += run * (d0[more] == 0)
-    layout = np.where(fixed, k - _FIXED_MIN, _LAYOUTS - 2 + (np.abs(k) >= 100))
-    key = (np.signbit(x) * _LAYOUTS + layout) * 17 + np.maximum(17 - zeros, 1) - 1
+        key[more] -= run * np.take(_TRAILING, quads[0][more])
+    key += np.signbit(x) * _NEGATIVE
     fallback = np.flatnonzero(~exact)
     key[fallback] = _ONLY_SEP
     t &= np.take(_MASKS, key, axis=0)

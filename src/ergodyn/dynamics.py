@@ -150,6 +150,16 @@ class _Factor:
                 columns.append(rest / norm)
             self.basis = np.stack(columns, axis=1)
         self.block = _projected_block(self.apply, self.basis, self.scale)
+        if self.excited is not None:
+            # U psi = g for the state psi = c g + s e the rotation was built
+            # from, so H_eff psi = h psi - U^dag h g = (h - h[0]) psi
+            psi = c * g + s * self.excited
+            miss = self.apply(psi) - (self.energies - self.energies[0]) * psi
+            miss = np.linalg.norm(miss / self.scale) * self.scale
+            if not miss <= LEAKAGE_TOL * self.scale:
+                raise ValueError(
+                    f"generator does not move its state as H - h[0] does: {miss:g}"
+                )
 
     @property
     def dimension(self) -> int:

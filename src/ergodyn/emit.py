@@ -31,6 +31,13 @@ included), |x| >= 1e300 and a product too close to a half to decide go
 through ``'%.17g'`` one by one, so the bytes never change.  The kernel
 and its tables live in :mod:`ergodyn._csvkernel`, imported on the first
 CSV written.
+
+A column whose cells all have the same bits (a constant of motion, as
+every ``std_`` population and ``std_n_expect`` of ``compare`` is) is
+formatted once: each maximal run of such columns is formatted as a one-row
+block and put back into the text of every block, where the column before
+it prints a control byte as its separator.  Bits and not values decide, so
+0.0 and -0.0 never share a text.
 """
 
 from __future__ import annotations
@@ -41,13 +48,24 @@ import numpy as np
 
 from .dynamics import TimeSeries
 
-#: table cells formatted per block: a block holds this many cells over the
-#: column count in rows, so its scratch arrays stay near 2 MB at any width
+#: table cells the kernel formats per block: a block holds this many cells
+#: over the count of columns it formats (steady ones are not) in rows, so
+#: its scratch arrays stay near 2 MB at any width
 BLOCK_CELLS = 16384
+#: separators that mark where a steady run of columns goes back into a
+#: block's text: control bytes, which the kernel never prints, less "\n"
+_MARKS = bytes(b for b in range(1, 32) if b != ord("\n"))
 
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+def _steady(column: np.ndarray) -> bool:
+    """Whether every cell has the bits of the first (so 0.0 and -0.0, and
+    NaNs of different payloads, stay apart)."""
+    bits = column.view(np.uint64)
+    return bool((bits == bits[0]).all())
 
 
 def _csv_blocks(series: TimeSeries):
@@ -57,9 +75,37 @@ def _csv_blocks(series: TimeSeries):
     names = list(series.channels)
     yield (",".join(["t"] + names) + "\n").encode("utf-8")
     columns = [series.times] + [series.channels[n] for n in names]
-    rows = max(1, BLOCK_CELLS // len(columns))
+    seps = bytearray(b"," * len(columns))
+    seps[-1] = ord("\n")
+    # maximal runs [first, stop) of steady columns past t, one per mark
+    kept, runs = [0], []
+    for j in range(1, len(columns)):
+        if not _steady(columns[j]):
+            kept.append(j)
+        elif runs and runs[-1][1] == j:
+            runs[-1][1] = j + 1
+        elif len(runs) < len(_MARKS):
+            runs.append([j, j + 1])
+        else:
+            kept.append(j)
+    # each run is formatted once, as a one-row block, and goes back in where
+    # the kept column before it prints its mark as the separator
+    texts = []
+    for mark, (first, stop) in zip(_MARKS, runs):
+        row = np.array([[c[0] for c in columns[first:stop]]])
+        texts.append((bytes([mark]), b"," + format_block(row, bytes(seps[first:stop]))))
+        seps[first - 1] = mark
+    kept_seps = bytes(seps[j] for j in kept)
+    # the kernel formats BLOCK_CELLS kept cells per block; the steady runs put
+    # back into its text may at most quadruple the cells there
+    rows = max(1, min(BLOCK_CELLS // len(kept), 4 * BLOCK_CELLS // len(columns)))
     for start in range(0, series.times.size, rows):
-        yield format_block(np.stack([c[start:start + rows] for c in columns], axis=1))
+        out = format_block(
+            np.stack([columns[j][start:start + rows] for j in kept], axis=1), kept_seps
+        )
+        for mark, text in texts:
+            out = out.replace(mark, text)
+        yield out
 
 
 def write_series_csv(series: TimeSeries, path) -> None:

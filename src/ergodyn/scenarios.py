@@ -846,6 +846,13 @@ def run_scenario(cfg: ScenarioConfig, strict: bool = True):
             f"RK4 state norm drift fails the series check: {exc}; "
             "shorten t_max or choose engine exponential"
         ) from None
+    if cfg.comparison:
+        # the series checked that both partitions sum to 1 within 1e-9, so
+        # their differences sum to 0 within 2e-9, and C differences round by
+        # C 2^-52 more
+        drift = np.abs(sum(channels["delta_" + n] for n in prob_names)).max()
+        if not drift <= 2e-9 + len(prob_names) * 2.0**-52:
+            raise ValueError(f"delta_ probability channels sum to {drift:g}, not 0")
 
     neg = None
     if prep.system.modes >= 2:

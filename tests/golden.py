@@ -120,6 +120,8 @@ COMMANDS = (
     *BRANCHES,
     "run --engine rk4 --steps 20001",
     "run --scenario multimode-product --engine rk4 --steps 20001",
+    "compare --scenario multimode-product --engine exponential --steps 20001",
+    "compare --engine exponential --steps 20001 " + COMPLEX_3_3,
 )
 
 

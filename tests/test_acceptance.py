@@ -66,21 +66,31 @@ def _flipped_mode_states(spec):
     return build
 
 
+#: the closed forms at 1.01 times their rate: the routes all agree, and only
+#: the analytic residual moves
+_TWO_LEVEL_RATE = _patched(
+    closed_forms, "two_level_probabilities", "np.sin(np.sin(theta) * energy_gap * t)",
+    "np.sin(1.01 * np.sin(theta) * energy_gap * t)")
+_BALANCED_RATE = _patched(
+    closed_forms, "balanced_superposition_probabilities", "np.sin(gap * t / np.sqrt(2.0))",
+    "np.sin(1.01 * gap * t / np.sqrt(2.0))")
+
 #: criterion -> (mutant name, the function returning its patch, the checks
-#: that must fail under it).  A mutant that breaks the generator's trace, as
-#: sin-0.999, diag-h0 and drop-DhD do, fails every row through the run's own
-#: gate ("a run raised"); these mutants reach the values the rows read.
+#: that must fail under it).  A mutant of the generator that the run's own
+#: gates see, as theta-sign, sin-0.999, diag-h0 and drop-DhD are, fails every
+#: row through them ("a run raised"); these mutants reach the values the rows
+#: read.
 CAUGHT_BY = {
     "criterion_01_two_level_triangle": (
-        "theta-sign", MUTANTS["theta-sign"], ["analytic_vs_exponential"]),
+        "two-level-rate-x1.01", _TWO_LEVEL_RATE, ["analytic_vs_exponential"]),
     "criterion_03_full_fock_single_mode": (
-        "theta-sign", MUTANTS["theta-sign"], ["analytic_vs_exponential"]),
+        "two-level-rate-x1.01", _TWO_LEVEL_RATE, ["analytic_vs_exponential"]),
     "criterion_04_two_mode_products": (
         "flipped-mode-state",
         _rebuilt("two-mode-separable", _flipped_mode_states),
         ["analytic_vs_exponential", "tensor-split deviation"]),
     "criterion_05_entangled_pair": (
-        "theta-sign", MUTANTS["theta-sign"], ["analytic_vs_exponential"]),
+        "balanced-rate-x1.01", _BALANCED_RATE, ["analytic_vs_exponential"]),
     "criterion_06_degenerate_interferometer": (
         "row-shift", MUTANTS["row-shift"], ["channel drift"]),
     "criterion_07_perturbative_interferometer": (

@@ -4,7 +4,7 @@
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergodyn import emit
@@ -78,6 +78,38 @@ VALUES = st.one_of(
 def test_kernel_matches_per_value_formatter(values, columns, block_cells):
     series = _series(values, columns)
     # small blocks, so row counts fall on and off block boundaries
+    with mock.patch.object(emit, "BLOCK_CELLS", block_cells):
+        assert format_series_csv(series) == per_value_csv(series)
+
+
+#: steady cells: zeros of both signs, values the per-value formatter prints
+#: (NaN, a subnormal, 1e300) and any other value
+STEADY = st.one_of(st.sampled_from([0.0, -0.0, np.nan, 1e-310, 1e300]), VALUES)
+
+
+@st.composite
+def _columns(draw):
+    """Channel columns, each steady (one value in every row) or drawn cell by
+    cell, over a shared row count."""
+    rows = draw(st.integers(2, 6))
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=40))
+    return [np.full(rows, draw(STEADY)) if steady
+            else np.array(draw(st.lists(VALUES, min_size=rows, max_size=rows)))
+            for steady in kinds]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_columns(), st.integers(1, 40))
+# 0.0 beside -0.0 and a column of both, a steady run at the row's end, and
+# more steady runs than there are marks
+@example([np.zeros(3), np.full(3, -0.0), np.array([0.0, -0.0, 0.0]), np.arange(3.0),
+          np.full(3, np.nan)], 5)
+@example([np.full(2, v) if j % 2 else np.arange(2.0) + j
+          for j, v in enumerate([0.1, -0.0, 1e-310] * 30)], 7)
+def test_steady_columns_match_per_value_formatter(columns, block_cells):
+    series = TimeSeries(np.arange(columns[0].size) * 0.1,
+                        {f"c{j}": c for j, c in enumerate(columns)})
+    # small blocks, so that the steady runs go back into many blocks
     with mock.patch.object(emit, "BLOCK_CELLS", block_cells):
         assert format_series_csv(series) == per_value_csv(series)
 

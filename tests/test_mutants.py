@@ -10,7 +10,8 @@ state, with real and with complex amplitudes, each through
 config when the run raises one of the package's errors or a gate's
 ValueError (exit 1 or more from the CLI).  A pair that the mutant cannot
 change is listed in ``EQUIVALENT`` with the reason, and there the mutant
-must leave every channel within 1e-14 of the unmutated run.
+must leave every channel within 1e-14 of the unmutated run.  The ``delta_``
+sign mutant changes only ``compare``'s columns, so it runs under compare.
 """
 
 import inspect
@@ -20,7 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ergodyn import dynamics
+from ergodyn import dynamics, scenarios
 from ergodyn.errors import ErgodynError
 from ergodyn.scenarios import load_config, run_scenario
 
@@ -116,22 +117,11 @@ EQUIVALENT = {
     **{("row-sum-conj", c): _REAL for c in PANEL if c != "custom-3-3-complex"},
 }
 
-#: an expected failure: the run does not notice this fault
-MISSED = {
-    ("theta-sign", c): (
-        "a fault in the shared factor passes --engine all on a custom state: "
-        "RK4 steps the same _Factor, so both routes agree on the wrong "
-        "generator, and no closed form checks a custom state (ROADMAP item 7's "
-        "conserved work would catch it)") for c in _CUSTOM
-}
-
 
 def _cases():
     for mutant in MUTANTS:
         for config in PANEL:
-            reason = MISSED.get((mutant, config))
-            marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
-            yield pytest.param(mutant, config, marks=marks, id=f"{mutant}-{config}")
+            yield pytest.param(mutant, config, id=f"{mutant}-{config}")
 
 
 def _run(config):
@@ -157,5 +147,15 @@ def test_mutant_is_caught_or_equivalent(mutant, config, unmutated):
 
 
 def test_listed_pairs_are_panel_pairs():
-    assert set(EQUIVALENT) | set(MISSED) <= {(m, c) for m in MUTANTS for c in PANEL}
-    assert not set(EQUIVALENT) & set(MISSED)
+    assert set(EQUIVALENT) <= {(m, c) for m in MUTANTS for c in PANEL}
+
+
+@pytest.mark.parametrize("config", PANEL)
+def test_delta_sum_mutant_is_caught_under_compare(config):
+    # every delta_ column wrong: modified plus standard in place of minus
+    mutant = _substituted(scenarios, scenarios.run_scenario,
+                          'channels[name] - std["std_" + name]',
+                          'channels[name] + std["std_" + name]')
+    cfg = load_config(None, {**PANEL[config], "engine": "all", "comparison": True})
+    with pytest.raises(ValueError, match="delta_ probability channels sum"):
+        mutant(cfg, strict=True)
